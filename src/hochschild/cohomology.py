@@ -1,10 +1,12 @@
 """Cohomology extraction: H^p = ker d^p / im d^{p-1} from a cochain complex.
 
 Over a field the answer per degree is a dimension, computed from two
-differential ranks.  Over the integers the free rank comes from rational
-ranks and the torsion subgroup from the Smith normal form of the incoming
-differential: since kernels of integer matrices are saturated, the nonunit
-invariant factors of d^{p-1} are exactly the torsion invariants of H^p.
+differential ranks.  Over the integers each differential gets one Smith
+normal form, and both numbers come from it: the rank of d^q is its number
+of invariant factors, so the free rank of H^p is
+ranks[p] - rank d^p - rank d^{p-1}, and since kernels of integer matrices
+are saturated, the nonunit invariant factors of d^{p-1} are exactly the
+torsion invariants of H^p.
 
 Rational dimensions use a certificate shortcut when the matrices are
 integral: ranks can only drop under reduction mod a prime, so a vanishing
@@ -62,12 +64,17 @@ class CohomologyResult:
         return "CohomologyResult(%s; %s)" % (self.method_tag, body)
 
 
-def _normalize_degrees(cx, degrees):
+def _sorted_degrees(degrees):
     degs = sorted(set(int(p) for p in degrees))
     if not degs:
         raise DegreeOutOfRange("no degrees requested")
     if degs[0] < 0:
         raise DegreeOutOfRange("negative degree %d" % degs[0])
+    return degs
+
+
+def _normalize_degrees(cx, degrees):
+    degs = _sorted_degrees(degrees)
     if degs[-1] > cx.top_degree - 1:
         raise DegreeOutOfRange(
             "degree %d needs d^%d, but the complex only carries degrees "
@@ -76,44 +83,37 @@ def _normalize_degrees(cx, degrees):
 
 
 def _all_integer(mat):
-    if mat.domain != QQ:
-        return False
     return all(v.denominator == 1 for v in mat._d.values())
+
+
+def _per_differential(diffs, fn, below):
+    """q -> fn(diffs[q]), computed once per q; `below` for q = -1."""
+    cache = {-1: below}
+
+    def get(q):
+        if q not in cache:
+            cache[q] = fn(diffs[q])
+        return cache[q]
+    return get
 
 
 def _rational_dims(cx, degs):
     diffs = cx.diffs
     certificates = all(_all_integer(diffs[q])
                        for p in degs for q in (p - 1, p) if q >= 0)
-    mod_cache = {}
-    exact_cache = {-1: 0}
+    mod_rank = {pp: _per_differential(
+        diffs, lambda d, pp=pp: rank(d.change_domain(GF(pp))), 0)
+        for pp in (2, 3)}
+    exact_rank = _per_differential(diffs, rank, 0)
 
-    def mod_rank(q, pp):
-        if q < 0:
-            return 0
-        key = (q, pp)
-        if key not in mod_cache:
-            mod_cache[key] = rank(diffs[q].change_domain(GF(pp)))
-        return mod_cache[key]
-
-    def exact_rank(q):
-        if q not in exact_cache:
-            exact_cache[q] = rank(diffs[q])
-        return exact_cache[q]
-
-    dims = {}
-    for p in degs:
+    def dim(p):
         if certificates:
-            settled = False
             for pp in (2, 3):
-                if cx.ranks[p] - mod_rank(p, pp) - mod_rank(p - 1, pp) == 0:
-                    dims[p] = 0
-                    settled = True
-                    break
-            if settled:
-                continue
-        dims[p] = cx.ranks[p] - exact_rank(p) - exact_rank(p - 1)
-    return dims
+                rk = mod_rank[pp]
+                if cx.ranks[p] - rk(p) - rk(p - 1) == 0:
+                    return 0
+        return cx.ranks[p] - exact_rank(p) - exact_rank(p - 1)
+    return {p: dim(p) for p in degs}
 
 
 def compute_cohomology(cx, degrees=None):
@@ -126,43 +126,20 @@ def compute_cohomology(cx, degrees=None):
         dims = _rational_dims(cx, degs)
         records = [{"degree": p, "dim": dims[p]} for p in degs]
     elif isinstance(dom, GF):
-        cache = {-1: 0}
-
-        def rk(q):
-            if q not in cache:
-                cache[q] = rank(cx.diffs[q])
-            return cache[q]
-
+        rk = _per_differential(cx.diffs, rank, 0)
         records = [{"degree": p,
                     "dim": cx.ranks[p] - rk(p) - rk(p - 1)} for p in degs]
     elif dom == ZZ:
-        qdiffs = [d.change_domain(QQ) for d in cx.diffs]
-        qcx = _RationalView(cx, qdiffs)
-        free = _rational_dims(qcx, degs)
-        records = []
-        snf_cache = {}
-        for p in degs:
-            if p == 0:
-                tors = ()
-            else:
-                if p - 1 not in snf_cache:
-                    snf_cache[p - 1] = smith_normal_form(cx.diffs[p - 1])
-                tors = tuple(f for f in snf_cache[p - 1].invariant_factors
-                             if f != 1)
-            records.append({"degree": p, "free_rank": free[p],
-                            "torsion": tors})
+        factors = _per_differential(
+            cx.diffs, lambda d: smith_normal_form(d).invariant_factors, ())
+        records = [{"degree": p,
+                    "free_rank": cx.ranks[p] - len(factors(p))
+                    - len(factors(p - 1)),
+                    "torsion": tuple(f for f in factors(p - 1) if f != 1)}
+                   for p in degs]
     else:
         raise TypeError("unsupported coefficient domain %r" % (dom,))
     return CohomologyResult(dom, cx.method_tag, records)
-
-
-class _RationalView:
-    """Minimal complex facade: integer complex seen with Q coefficients."""
-
-    def __init__(self, cx, qdiffs):
-        self.ranks = cx.ranks
-        self.diffs = qdiffs
-        self.top_degree = cx.top_degree
 
 
 def pick_method(A):
@@ -184,7 +161,7 @@ def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
     whose method_tag names the complex actually used; the built complex is
     attached as result.complex.
     """
-    degs = sorted(set(int(p) for p in degrees))
+    degs = _sorted_degrees(degrees)
     need_top = degs[-1] + 1
     if top_degree is not None:
         need_top = max(need_top, top_degree)

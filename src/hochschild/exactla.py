@@ -16,8 +16,13 @@ stays bounded by minors of the input.
 
 Pivot choices are deterministic.  Echelon-producing routines (kernel_basis,
 solve) sweep pivot columns left to right taking the smallest usable row
-index; the rank and Smith routines pick sparsity-friendly pivots with fixed
-tie-breaking, which affects speed only, never the answer.
+index.  rank and the sparse phase of smith_normal_form share one
+eliminator: the pivot row is the shortest eligible row, ties broken by
+index, popped from a lazy min-heap instead of found by a scan.  Within that
+row, rank over F_p takes the first column, rank over Q the entry of least
+magnitude, and Smith the +-1 entry whose column is shortest; rows without a
+unit are left to a small dense Smith form.  Pivot order affects speed only,
+never the answer.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
@@ -28,6 +33,7 @@ tie-breaking, which affects speed only, never the answer.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 
@@ -246,9 +252,6 @@ class Mat:
     def entry(self, i, j):
         return self._d.get((i, j), self.domain.zero())
 
-    def iter_entries(self):
-        return iter(sorted(self._d.items()))
-
     def nnz(self):
         return len(self._d)
 
@@ -392,189 +395,131 @@ def _strip_row_gcd(row):
     return row
 
 
-def _int_rows_from_fractions(m):
-    """Per-row integer scaling of a Q-matrix (rank is scaling-invariant)."""
-    rows = {}
-    for (i, j), v in m._d.items():
-        rows.setdefault(i, {})[j] = v
-    out = []
-    for i in sorted(rows):
-        row = rows[i]
+def _int_rows(rows):
+    """Per-row integer scaling of Fraction rows (rank is scaling-invariant)."""
+    for i, row in rows.items():
         den = 1
         for v in row.values():
             den = den * v.denominator // gcd(den, v.denominator)
-        irow = {j: int(v * den) for j, v in row.items()}
-        out.append(_strip_row_gcd(irow))
-    return out
+        rows[i] = _strip_row_gcd({j: int(v * den) for j, v in row.items()})
+    return rows
 
 
-def _rank_sparse_int(rows):
-    """Rank over Q of integer sparse rows by fraction-free elimination."""
-    live = {i: r for i, r in enumerate(rows) if r}
+def _eliminate(live, choose, update):
+    """Sparse elimination on rows {index: {col: value}}, consumed in place.
+
+    The pivot row is the shortest eligible row, ties broken by index, taken
+    from a lazy min-heap keyed on (length, index): a popped entry is stale
+    when its row is gone or has changed length, and every rewritten row is
+    pushed afresh.  choose(row, col_index) returns the row's pivot column,
+    or None when the row is not eligible; update(prow, pj, trow) returns
+    trow with column pj cleared (empty when nothing is left).  Returns the
+    number of pivots and the rows left over, none of them eligible.
+    """
     col_index = {}
     for i, r in live.items():
-        for j in r.keys():
+        for j in r:
             col_index.setdefault(j, set()).add(i)
-    rank = 0
-    while live:
-        # cheapest surviving row; ties broken by original index
-        pi = min(live, key=lambda i: (len(live[i]), i))
-        prow = live.pop(pi)
-        rank += 1
-        # pivot entry: smallest magnitude, then smallest column
-        pj = min(prow, key=lambda j: (abs(prow[j]), j))
-        pv = prow[pj]
+    # heap keys are length * stride + index: ints order faster than tuples
+    stride = max(live, default=0) + 1
+    heap = [len(r) * stride + i for i, r in live.items()]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        n, pi = divmod(heappop(heap), stride)
+        prow = live.get(pi)
+        if prow is None or len(prow) != n:
+            continue
+        pj = choose(prow, col_index)
+        if pj is None:
+            continue
+        del live[pi]
+        pivots += 1
         for j in prow:
             col_index[j].discard(pi)
-        targets = [t for t in col_index.get(pj, ()) if t in live]
-        for t in targets:
+        for t in list(col_index[pj]):
             trow = live[t]
-            tv = trow[pj]
             for j in trow:
                 col_index[j].discard(t)
-            # integer two-term update: pv*trow - tv*prow
-            new = {}
-            for j, v in trow.items():
-                new[j] = pv * v
-            for j, v in prow.items():
-                w = new.get(j, 0) - tv * v
-                if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-            if new:
-                _strip_row_gcd(new)
-                live[t] = new
-                for j in new:
-                    col_index.setdefault(j, set()).add(t)
-            else:
-                del live[t]
-    return rank
-
-
-def _rank_sparse_mod(rows, p):
-    live = {i: r for i, r in enumerate(rows) if r}
-    col_index = {}
-    for i, r in live.items():
-        for j in r.keys():
-            col_index.setdefault(j, set()).add(i)
-    rank = 0
-    while live:
-        pi = min(live, key=lambda i: (len(live[i]), i))
-        prow = live.pop(pi)
-        rank += 1
-        pj = min(prow)
-        inv = pow(prow[pj], p - 2, p)
-        for j in prow:
-            col_index[j].discard(pi)
-        targets = [t for t in col_index.get(pj, ()) if t in live]
-        for t in targets:
-            trow = live[t]
-            f = trow[pj] * inv % p
-            for j in trow:
-                col_index[j].discard(t)
-            new = dict(trow)
-            for j, v in prow.items():
-                w = (new.get(j, 0) - f * v) % p
-                if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
+            new = update(prow, pj, trow)
             if new:
                 live[t] = new
                 for j in new:
                     col_index.setdefault(j, set()).add(t)
+                heappush(heap, len(new) * stride + t)
             else:
                 del live[t]
-    return rank
+    return pivots, live
 
 
-def _rank_gf2_bits(rowints):
-    """Rank over F_2 of rows packed as python-int bitmasks."""
-    pivots = {}
-    rk = 0
-    for cur in rowints:
-        while cur:
-            low = cur & -cur
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = cur
-                rk += 1
-                break
-            cur ^= piv
-    return rk
+def _axpy(trow, f, prow, p=None):
+    """trow - f * prow as a new row, reduced mod p when p is given."""
+    new = dict(trow)
+    for j, v in prow.items():
+        w = new.get(j, 0) - f * v
+        if p is not None:
+            w %= p
+        if w:
+            new[j] = w
+        elif j in new:
+            del new[j]
+    return new
 
 
-def _gf3_add(a1, a2, b1, b2):
-    # positionwise sum mod 3 of rows encoded as (bits with value 1, value 2)
-    na = ~(b1 | b2)
-    nb = ~(a1 | a2)
-    return ((a1 & na) | (b1 & nb) | (a2 & b2),
-            (a2 & na) | (b2 & nb) | (a1 & b1))
+def _choose_smallest_entry(row, col_index):
+    # smallest magnitude, then smallest column
+    return min(row, key=lambda j: (abs(row[j]), j))
 
 
-def _rank_gf3_bits(rows):
-    """Rank over F_3 of rows encoded as (ones-mask, twos-mask) pairs."""
-    pivots = {}
-    rk = 0
-    for r1, r2 in rows:
-        while r1 | r2:
-            mask = r1 | r2
-            low = mask & -mask
-            piv = pivots.get(low)
-            if piv is None:
-                if r2 & low:   # scale by 2 so the pivot entry is 1
-                    r1, r2 = r2, r1
-                pivots[low] = (r1, r2)
-                rk += 1
-                break
-            p1, p2 = piv
-            if r1 & low:       # subtract pivot (add its negation)
-                r1, r2 = _gf3_add(r1, r2, p2, p1)
-            else:              # entry is 2: add pivot once
-                r1, r2 = _gf3_add(r1, r2, p1, p2)
-    return rk
+def _update_fraction_free(prow, pj, trow):
+    # integer two-term update pv*trow - tv*prow, then strip the row gcd
+    pv = prow[pj]
+    return _strip_row_gcd(
+        _axpy({j: pv * v for j, v in trow.items()}, trow[pj], prow))
 
 
-_BITSET_CUTOVER = 16384  # cells; below this the dict path is plenty
+def _choose_first_column(row, col_index):
+    return min(row)
 
 
-def _rank_gf_bits(m):
-    """Bit-packed elimination for F_2/F_3; row loop over the short side."""
-    work = m if m.rows <= m.cols else m.transpose()
+def _update_mod(p):
+    def update(prow, pj, trow):
+        return _axpy(trow, trow[pj] * pow(prow[pj], p - 2, p) % p, prow, p)
+    return update
+
+
+def _choose_unit(row, col_index):
+    # the +-1 entry whose column is shortest, then smallest column
+    units = [j for j, v in row.items() if v == 1 or v == -1]
+    if not units:
+        return None
+    return min(units, key=lambda j: (len(col_index[j]), j))
+
+
+def _update_unit(prow, pj, trow):
+    return _axpy(trow, trow[pj] * prow[pj], prow)  # pivot is +-1
+
+
+def _sparse_rows(m, by_cols=False):
+    """{index: {index: value}} over the rows of m, or over its columns."""
     rows = {}
-    if work.domain.p == 2:
-        for (i, j), _ in work._d.items():
-            rows[i] = rows.get(i, 0) | (1 << j)
-        return _rank_gf2_bits([rows[i] for i in sorted(rows)])
-    packed = {}
-    for (i, j), v in work._d.items():
-        r1, r2 = packed.get(i, (0, 0))
-        if v == 1:
-            r1 |= 1 << j
-        else:
-            r2 |= 1 << j
-        packed[i] = (r1, r2)
-    return _rank_gf3_bits([packed[i] for i in sorted(packed)])
+    for (i, j), v in m._d.items():
+        if by_cols:
+            i, j = j, i
+        rows.setdefault(i, {})[j] = v
+    return rows
 
 
 def rank(m):
     """Rank of a matrix over Q or F_p (DomainNotField over Z)."""
     _require_field(m)
-    if m.is_zero():
-        return 0
-    if (isinstance(m.domain, GF) and m.domain.p in (2, 3)
-            and m.rows * m.cols >= _BITSET_CUTOVER):
-        return _rank_gf_bits(m)
-    # eliminate over the smaller dimension
-    work = m.transpose() if m.rows < m.cols else m
-    if isinstance(work.domain, GF):
-        p = work.domain.p
-        rows = {}
-        for (i, j), v in work._d.items():
-            rows.setdefault(i, {})[j] = v
-        return _rank_sparse_mod([rows[i] for i in sorted(rows)], p)
-    return _rank_sparse_int(_int_rows_from_fractions(work))
+    # rows run along the smaller dimension
+    rows = _sparse_rows(m, by_cols=m.rows < m.cols)
+    if isinstance(m.domain, GF):
+        return _eliminate(rows, _choose_first_column,
+                          _update_mod(m.domain.p))[0]
+    return _eliminate(_int_rows(rows), _choose_smallest_entry,
+                      _update_fraction_free)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -637,60 +582,6 @@ class SmithForm:
     rank: int
     left: object = None   # Mat over Z, rows transform
     right: object = None  # Mat over Z, cols transform
-
-    @property
-    def diagonal(self):
-        return self.invariant_factors
-
-
-def _snf_unit_phase(rows_map):
-    """Eliminate +-1 pivots sparsely; returns number eliminated.
-
-    A unit pivot has minimal absolute value among all nonzero entries, so
-    taking these first is consistent with the minimal-pivot rule.
-    """
-    col_index = {}
-    for i, r in rows_map.items():
-        for j in r.keys():
-            col_index.setdefault(j, set()).add(i)
-    ones = 0
-    # queue of candidate unit positions
-    while True:
-        cand = None
-        best = None
-        for i, r in rows_map.items():
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    cost = (len(r) + len(col_index[j]), i, j)
-                    if best is None or cost < best:
-                        best = cost
-                        cand = (i, j)
-        if cand is None:
-            return ones, rows_map
-        pi, pj = cand
-        prow = rows_map.pop(pi)
-        pv = prow[pj]
-        for j in prow:
-            col_index[j].discard(pi)
-        for t in [t for t in col_index.get(pj, ()) if t in rows_map]:
-            trow = rows_map[t]
-            f = trow[pj] * pv  # pv in {1,-1}: f/pv = f*pv
-            for j in trow:
-                col_index[j].discard(t)
-            new = dict(trow)
-            for j, v in prow.items():
-                w = new.get(j, 0) - f * v
-                if w:
-                    new[j] = w
-                elif j in new:
-                    del new[j]
-            if new:
-                rows_map[t] = new
-                for j in new:
-                    col_index.setdefault(j, set()).add(t)
-            else:
-                del rows_map[t]
-        ones += 1
 
 
 def _snf_core(rows):
@@ -871,10 +762,9 @@ def smith_normal_form(m, want_transforms=False):
     if want_transforms:
         factors, left, right = _snf_with_transforms(m)
         return SmithForm(tuple(factors), len(factors), left, right)
-    rows_map = {}
-    for (i, j), v in m._d.items():
-        rows_map.setdefault(i, {})[j] = v
-    ones, residual = _snf_unit_phase(rows_map)
+    # a +-1 pivot divides everything, so unit pivots go first, sparsely;
+    # what is left has no unit entry and goes to the dense core
+    ones, residual = _eliminate(_sparse_rows(m), _choose_unit, _update_unit)
     factors = [1] * ones
     if residual:
         # compact the residual block densely

@@ -119,6 +119,11 @@ def test_catalog_families():
     assert spans_equal(catalog("P", QQ, (1, 2)), catalog("P12", QQ))
 
 
+def test_catalog_parabolic_by_name():
+    # a parabolic outside the fixed tables is still reachable by its name
+    assert spans_equal(catalog("P22", QQ), catalog("P", QQ, (2, 2)))
+
+
 def test_jn_family_metadata():
     A = catalog("J", QQ, 4)
     assert A.meta["family"] == ("J", 4)

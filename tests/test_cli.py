@@ -263,6 +263,12 @@ def test_exit_code_negative_degree(capsys):
     assert rc == 2
 
 
+def test_compute_parabolic_by_name(capsys):
+    rc, out, _ = run(capsys, "compute", "--algebra", "P22", "--ring", "Q",
+                     "--max-degree", "1")
+    assert rc == 0 and out
+
+
 def test_exit_code_unknown_catalog_name(capsys):
     rc, _, err = run(capsys, "compute", "--algebra", "NOPE")
     assert rc == 2

@@ -64,6 +64,8 @@ def test_degree_guards():
         compute_cohomology(cx, degrees=[-1])
     with pytest.raises(DegreeOutOfRange):
         compute_cohomology(cx, degrees=[])
+    with pytest.raises(DegreeOutOfRange):
+        cohomology_of(catalog("N2", QQ), degrees=[])
     with pytest.raises(ValueError):
         cohomology_of(catalog("N2", QQ), method="nonsense", degrees=[0])
     with pytest.raises(ValueError):

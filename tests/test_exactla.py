@@ -9,10 +9,10 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.exactla import (_BITSET_CUTOVER, GF, QQ, ZZ, DomainNotField,
-                                Mat, NoSolution, _rank_gf_bits,
-                                _rank_sparse_mod, kernel_basis, rank,
-                                smith_normal_form, solve)
+from hochschild.algebra import catalog
+from hochschild.cohomology import cohomology_of
+from hochschild.exactla import (GF, QQ, ZZ, DomainNotField, Mat, NoSolution,
+                                kernel_basis, rank, smith_normal_form, solve)
 
 # the commutator action of the 3x3 Jordan block on its 6-dimensional
 # quotient (rows/cols over the quotient unit-class basis); reused below as
@@ -197,27 +197,35 @@ def test_snf_factors_match_sympy():
 
 
 # ---------------------------------------------------------------------------
-# bit-packed F_2/F_3 elimination agrees with the dictionary route
-
-def _dict_route_rank(m):
-    work = m.transpose() if m.rows < m.cols else m
-    rows = {}
-    for (i, j), v in work._d.items():
-        rows.setdefault(i, {})[j] = v
-    return _rank_sparse_mod([rows[i] for i in sorted(rows)], work.domain.p)
-
+# F_2/F_3 rank of mid-sized sparse matrices (the sizes at which a bit-packed
+# route once took over) against rank-nullity through the dense RREF kernel
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_bitset_rank_agreement(p):
     rng = random.Random(40 + p)
     for _ in range(6):
         r, c = rng.randint(130, 180), rng.randint(130, 180)
-        assert r * c >= _BITSET_CUTOVER
         ent = {(i, j): rng.randint(1, p - 1)
                for i in range(r) for j in range(c) if rng.random() < 0.05}
         m = Mat(r, c, GF(p), ent)
-        assert _rank_gf_bits(m) == _dict_route_rank(m)
-        assert rank(m) == _dict_route_rank(m)
+        assert rank(m) + len(kernel_basis(m)) == m.cols
+        assert rank(m.transpose()) == rank(m)
+
+
+# ---------------------------------------------------------------------------
+# Smith form against rank at complex scale: the number of invariant factors
+# is the rank over Q, and the rank over F_p counts the factors prime to p
+
+@pytest.mark.parametrize("name,degree", [("S11", 3), ("S11", 4), ("J4", 2)])
+def test_smith_agrees_with_field_ranks_on_reduced_bar(name, degree):
+    cx = cohomology_of(catalog(name, ZZ), method="reduced",
+                       degrees=[degree]).complex
+    d = cx.diffs[degree]
+    factors = smith_normal_form(d).invariant_factors
+    assert len(factors) == rank(d.change_domain(QQ))
+    for p in (2, 3, 5):
+        assert rank(d.change_domain(GF(p))) == sum(
+            1 for f in factors if f % p), p
 
 
 # ---------------------------------------------------------------------------

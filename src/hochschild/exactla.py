@@ -437,15 +437,19 @@ def _eliminate(live, choose, update):
         pivots += 1
         for j in prow:
             col_index[j].discard(pi)
-        for t in list(col_index[pj]):
+        targets, col_index[pj] = col_index[pj], set()
+        for t in targets:
             trow = live[t]
-            for j in trow:
-                col_index[j].discard(t)
             new = update(prow, pj, trow)
+            # an update changes a row only in the pivot row's columns
+            for j in prow:
+                if j in new:
+                    if j not in trow:
+                        col_index[j].add(t)
+                elif j in trow:
+                    col_index[j].discard(t)
             if new:
                 live[t] = new
-                for j in new:
-                    col_index.setdefault(j, set()).add(t)
                 heappush(heap, len(new) * stride + t)
             else:
                 del live[t]

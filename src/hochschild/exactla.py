@@ -412,9 +412,10 @@ def _eliminate(live, choose, update):
     from a lazy min-heap keyed on (length, index): a popped entry is stale
     when its row is gone or has changed length, and every rewritten row is
     pushed afresh.  choose(row, col_index) returns the row's pivot column,
-    or None when the row is not eligible; update(prow, pj, trow) returns
-    trow with column pj cleared (empty when nothing is left).  Returns the
-    number of pivots and the rows left over, none of them eligible.
+    or None when the row is not eligible; update(prow, pj, trow) returns a
+    new row: trow with column pj cleared, differing from trow only in
+    columns of prow, and empty when nothing is left.  Returns the number of
+    pivots and the rows left over, none of them eligible.
     """
     col_index = {}
     for i, r in live.items():

@@ -4,17 +4,25 @@ An algebra here is a unital subalgebra A of M_n given by an explicit basis
 of n x n matrices over Q, F_p or Z.  Validation derives the structure
 constants c[i][j] (coordinates of a_i * a_j in the basis) and the
 coordinates of the identity; over Z it additionally checks that the span is
-a direct summand of M_n(Z), so the quotient is a free module.
+a direct summand of M_n(Z), so the quotient is a free module.  All
+coordinates are read from one echelon form of the basis (`exactla.Echelon`,
+over Q when the algebra lives over Z), built once at validation and kept on
+the algebra.
 
 The module also builds the coefficient bimodules used by the cochain
 complexes:
 
-    quotient_bimodule   -- M_n / A with a deterministic matrix-unit basis
+    quotient_bimodule   -- M_n / A with a deterministic matrix-unit basis,
+                           built once per algebra and kept on it
     regular_bimodule    -- A acting on itself (used for cup-product tests)
     ideal_quotient_bimodule -- A / J for a spanned two-sided ideal J
     sandwich_bimodule   -- span(A, units) / span(A, units), for the
                            intermediate coefficient modules of the rank-3
                            worked examples
+
+The quotient's action matrices come straight from the columns of its
+projection: a E_ij = sum_r a[r,i] E_rj and E_ij a = sum_c a[j,c] E_ic, so
+each action column is a sum of projection columns over the nonzeros of a.
 
 plus `detect_splitting`, which finds the idempotent/radical decomposition
 feeding the small complex of `complexes.cibils_complex`, and a catalog of
@@ -23,10 +31,7 @@ the named subalgebras of M_2 and M_3 together with the classical families
 polynomial).
 """
 
-from fractions import Fraction
-
-from .exactla import (GF, Mat, NoSolution, QQ, ZZ, kernel_basis, rank,
-                      smith_normal_form, solve)
+from .exactla import Echelon, Mat, NoSolution, QQ, ZZ, smith_normal_form
 
 
 class AlgebraError(ValueError):
@@ -70,13 +75,28 @@ class NotClosed(AlgebraError):
         super().__init__("product a%d * a%d is not in the span" % (i, j))
 
 
-def _vec(m):
-    """Row-major flattening of an n x n matrix to a length-n^2 tuple."""
-    n = m.rows
-    out = [m.domain.zero()] * (n * n)
-    for (i, j), v in m._d.items():
-        out[i * n + j] = v
-    return tuple(out)
+def _flat(m):
+    """Row-major flattening of an n x n matrix: {i * n + j: entry}."""
+    n = m.cols
+    return {i * n + j: v for (i, j), v in m._d.items()}
+
+
+def _span_echelon(mats, domain):
+    """Echelon form of the matrices' span, over Q for integer matrices."""
+    span = Echelon(QQ if domain == ZZ else domain)
+    for b in mats:
+        span.add(_flat(b))
+    return span
+
+
+def _coords_in(span, domain, m):
+    """Coordinates of m in the basis recorded by span, or NoSolution."""
+    sol = span.coords(_flat(m))
+    if sol is NoSolution or domain != ZZ:
+        return sol
+    if any(v.denominator != 1 for v in sol):
+        return NoSolution
+    return tuple(int(v) for v in sol)
 
 
 def _unit_matrix(n, i, j, domain):
@@ -100,7 +120,8 @@ def _coerce_basis(n, domain, basis):
 class Algebra:
     """A validated subalgebra presentation; construct via verify_subalgebra."""
 
-    def __init__(self, n, domain, basis, name, mult, unit_coords, meta=None):
+    def __init__(self, n, domain, basis, name, mult, unit_coords, span,
+                 meta=None):
         self.n = n
         self.domain = domain
         self.basis = tuple(basis)
@@ -109,28 +130,12 @@ class Algebra:
         self.mult = mult          # mult[i][j] = coords of basis[i]*basis[j]
         self.unit_coords = unit_coords
         self.meta = dict(meta or {})
-        self.coord = Mat(self.dim, n * n, domain,
-                         {(k, t): v
-                          for k, b in enumerate(basis)
-                          for t, v in enumerate(_vec(b)) if v})
-        self._span_t = None
-
-    def _span_transpose(self):
-        if self._span_t is None:
-            self._span_t = self.coord.transpose()
-        return self._span_t
+        self._span = span         # echelon form of the basis
+        self._quotient = None     # quotient_bimodule(self), once built
 
     def member_coords(self, m):
         """Coordinates of a matrix in the basis, or NoSolution."""
-        if self.domain == ZZ:
-            sol = solve(self._span_transpose().change_domain(QQ),
-                        [Fraction(v) for v in _vec(m)])
-            if sol is NoSolution:
-                return NoSolution
-            if any(v.denominator != 1 for v in sol):
-                return NoSolution
-            return tuple(int(v) for v in sol)
-        return solve(self._span_transpose(), _vec(m))
+        return _coords_in(self._span, self.domain, m)
 
     def unit_matrix(self):
         return Mat.identity(self.n, self.domain)
@@ -151,14 +156,9 @@ class Algebra:
                         acc = acc.add(self.basis[j].scale(c))
                 new_basis.append(acc)
         else:
-            new_basis = [ident]
-            dense = [list(_vec(ident))]
-            pivots = {}
-            _reduce_and_record(dense[0], pivots, dom, 0)
-            for b in self.basis:
-                row = list(_vec(b))
-                if _reduce_and_record(row, pivots, dom, len(new_basis)):
-                    new_basis.append(b)
+            span = _span_echelon([ident], dom)
+            new_basis = [ident] + [b for b in self.basis
+                                   if span.add(_flat(b))]
         out = verify_subalgebra(self.n, dom, new_basis, name=self.name)
         out.meta = dict(self.meta)
         out.meta["unit_first"] = True
@@ -167,26 +167,6 @@ class Algebra:
     def __repr__(self):
         return "Algebra(%s, n=%d, d=%d over %r)" % (
             self.name or "?", self.n, self.dim, self.domain)
-
-
-def _reduce_and_record(row, pivots, dom, tag):
-    """Reduce `row` against recorded pivot rows; record it if nonzero.
-
-    pivots maps pivot column -> (normalized dense row, tag).  Returns True
-    when the row was independent (and is now recorded).
-    """
-    for col, (prow, _) in sorted(pivots.items()):
-        if not dom.is_zero(row[col]):
-            f = row[col]
-            for j in range(len(row)):
-                row[j] = dom.sub(row[j], dom.mul(f, prow[j]))
-    lead = next((j for j, v in enumerate(row) if not dom.is_zero(v)), None)
-    if lead is None:
-        return False
-    inv = dom.inv(row[lead])
-    normalized = [dom.mul(inv, v) for v in row]
-    pivots[lead] = (normalized, tag)
-    return True
 
 
 def _unimodular_with_first_row(r):
@@ -238,43 +218,31 @@ def verify_subalgebra(n, domain, basis, name=None):
     if not mats:
         raise AlgebraError("empty basis")
     d = len(mats)
-    coord = Mat(d, n * n, domain,
-                {(k, t): v for k, b in enumerate(mats)
-                 for t, v in enumerate(_vec(b)) if v})
-    field_coord = coord.change_domain(QQ) if domain == ZZ else coord
-    if rank(field_coord) != d:
+    span = _span_echelon(mats, domain)
+    if span.rank != d:
         raise NotIndependent("basis matrices are linearly dependent")
     if domain == ZZ:
-        sf = smith_normal_form(coord)
+        sf = smith_normal_form(Mat(d, n * n, ZZ,
+                                   {(k, t): v for k, b in enumerate(mats)
+                                    for t, v in _flat(b).items()}))
         if any(f != 1 for f in sf.invariant_factors):
             raise NotSaturated(
                 "span is not a direct summand of M_n(Z): invariant factors %r"
                 % (sf.invariant_factors,))
-    span_t = field_coord.transpose()
-
-    def coords_of(mat):
-        target = _vec(mat)
-        if domain == ZZ:
-            sol = solve(span_t, [Fraction(v) for v in target])
-            if sol is NoSolution:
-                return NoSolution
-            # saturation makes integer coordinates automatic
-            return tuple(int(v) for v in sol)
-        return solve(span_t, target)
-
-    unit = coords_of(Mat.identity(n, domain))
+    # over Z, saturation makes the rational coordinates integers
+    unit = _coords_in(span, domain, Mat.identity(n, domain))
     if unit is NoSolution:
         raise NoUnit("identity matrix is not in the span")
     mult = []
     for i, a in enumerate(mats):
         row = []
         for j, b in enumerate(mats):
-            c = coords_of(a.mul(b))
+            c = _coords_in(span, domain, a.mul(b))
             if c is NoSolution:
                 raise NotClosed(i + 1, j + 1)
             row.append(c)
         mult.append(tuple(row))
-    return Algebra(n, domain, mats, name, tuple(mult), unit)
+    return Algebra(n, domain, mats, name, tuple(mult), unit, span)
 
 
 def structure_constants_ok(A):
@@ -334,71 +302,68 @@ class Bimodule:
         return "Bimodule(%s, dim=%d)" % (self.name or "?", self.dim)
 
 
-def _span_reducer(rows, dom):
-    """Record a list of spanning rows; returns (pivots, reduce) helpers."""
-    pivots = {}
-    for k, row in enumerate(rows):
-        _reduce_and_record(list(row), pivots, dom, k)
-    return pivots
-
-
-def _class_is_new(vecrow, pivots, dom):
-    row = list(vecrow)
-    for col, (prow, _) in sorted(pivots.items()):
-        if not dom.is_zero(row[col]):
-            f = row[col]
-            for j in range(len(row)):
-                row[j] = dom.sub(row[j], dom.mul(f, prow[j]))
-    return any(not dom.is_zero(v) for v in row)
-
-
 def quotient_bimodule(A):
-    """M_n / A with basis chosen by a row-major greedy scan of matrix units."""
-    n, dom = A.n, A.domain
-    fdom = QQ if dom == ZZ else dom
-    pivots = {}
-    for k in range(A.dim):
-        _reduce_and_record([fdom.normalize(v) for v in _vec(A.basis[k])],
-                           pivots, fdom, k)
-    kept = []
-    for i in range(n):
-        for j in range(n):
-            row = [fdom.zero()] * (n * n)
-            row[i * n + j] = fdom.one()
-            if _reduce_and_record(row, pivots, fdom, ("unit", i, j)):
-                kept.append((i, j))
-    m = n * n - A.dim
-    assert len(kept) == m
-    return _bimodule_from_units(A, kept, name="M%d/%s" % (n, A.name or "A"))
+    """M_n / A with basis chosen by a row-major greedy scan of matrix units.
+
+    Built once per algebra and kept on it; every caller shares the result.
+    """
+    if A._quotient is None:
+        n = A.n
+        span = _span_echelon(A.basis, A.domain)
+        kept = [(i, j) for i in range(n) for j in range(n)
+                if span.add({i * n + j: 1})]
+        assert len(kept) == n * n - A.dim
+        A._quotient = _bimodule_from_units(
+            A, kept, name="M%d/%s" % (n, A.name or "A"))
+    return A._quotient
 
 
 def _bimodule_from_units(A, kept, name):
-    n, dom = A.n, A.domain
-    full_rows = [list(_vec(b)) for b in A.basis]
-    full_rows += [list(_vec(_unit_matrix(n, i, j, dom))) for (i, j) in kept]
-    F = Mat.from_rows(full_rows, dom).transpose()  # columns = chosen basis
-    if dom == ZZ:
-        sf = smith_normal_form(Mat.from_rows(full_rows, ZZ))
-        if any(f != 1 for f in sf.invariant_factors) or sf.rank != len(full_rows):
-            raise NotSaturated("unit classes do not span the quotient lattice")
-    Finv = mat_inverse(F)
+    """M_n / A on the classes of the matrix units `kept`.
+
+    Let P be the positions outside `kept`.  The basis restricted to P is a
+    d x d block G; its inverse re-bases A to w_1..w_d with w_i equal to 1
+    at P[i] and 0 at the rest of P.  The projection proj (vec(X) -> class
+    coordinates) is then the identity on kept positions and sends the unit
+    at P[i] to -w_i restricted to the kept positions.  Over Z the units
+    must span the quotient lattice, i.e. G^-1 must be integral.
+    """
+    n, dom, d = A.n, A.domain, A.dim
+    fdom = QQ if dom == ZZ else dom
+    pos = {i * n + j: q for q, (i, j) in enumerate(kept)}
+    P = [t for t in range(n * n) if t not in pos]
+    span = Mat(d, n * n, fdom, {(k, t): v for k, b in enumerate(A.basis)
+                                for t, v in _flat(b).items()})
+    ginv = mat_inverse(Mat(d, d, fdom, {(k, s): span.entry(k, t)
+                                        for k in range(d)
+                                        for s, t in enumerate(P)}))
+    if dom == ZZ and any(v.denominator != 1 for v in ginv._d.values()):
+        raise NotSaturated("unit classes do not span the quotient lattice")
+    # pcols[t]: column t of proj as [(row, value)]
+    pcols = [[] for _ in range(n * n)]
+    for t, q in pos.items():
+        pcols[t].append((q, dom.one()))
+    for (i, t), v in ginv.mul(span)._d.items():
+        if t in pos:
+            pcols[P[i]].append((pos[t], dom.normalize(-v)))
     m = len(kept)
-    proj = Mat(m, n * n, dom,
-               {(r - A.dim, c): v for (r, c), v in Finv._d.items()
-                if r >= A.dim})
-    lifts = [_unit_matrix(n, i, j, dom) for (i, j) in kept]
+    proj = Mat(m, n * n, dom, {(q, t): v for t, col in enumerate(pcols)
+                               for q, v in col})
     left, right = [], []
     for a in A.basis:
+        acols, arows = {}, {}
+        for (r, c), v in a._d.items():
+            acols.setdefault(c, []).append((r, v))
+            arows.setdefault(r, []).append((c, v))
         lent, rent = {}, {}
-        for q, u in enumerate(lifts):
-            lcol = proj.apply(_vec(a.mul(u)))
-            rcol = proj.apply(_vec(u.mul(a)))
-            for p, v in enumerate(lcol):
-                if not dom.is_zero(v):
-                    lent[(p, q)] = v
-            for p, v in enumerate(rcol):
-                if not dom.is_zero(v):
-                    rent[(p, q)] = v
+        for q, (i, j) in enumerate(kept):
+            # a E_ij = sum_r a[r,i] E_rj;  E_ij a = sum_c a[j,c] E_ic
+            for r, v in acols.get(i, ()):
+                for p, u in pcols[r * n + j]:
+                    lent[(p, q)] = lent.get((p, q), 0) + v * u
+            for c, v in arows.get(j, ()):
+                for p, u in pcols[i * n + c]:
+                    rent[(p, q)] = rent.get((p, q), 0) + v * u
         left.append(Mat(m, m, dom, lent))
         right.append(Mat(m, m, dom, rent))
     bm = Bimodule(A, [("unit", i, j) for (i, j) in kept], left, right, name)
@@ -478,27 +443,15 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
     num = [unit(t) for t in numerator_units]
     den = [unit(t) for t in denominator_units]
 
-    den_rows = [[fdom.normalize(v) for v in _vec(b)] for b in A.basis]
-    den_rows += [[fdom.normalize(v) for v in _vec(u)] for u in den]
-    pivots = {}
-    den_basis = []
-    for k, row in enumerate(den_rows):
-        if _reduce_and_record(list(row), pivots, fdom, k):
-            den_basis.append(row)
-    kept = []
-    for t, u in zip(numerator_units, num):
-        row = [fdom.normalize(v) for v in _vec(u)]
-        if _reduce_and_record(row, pivots, fdom, ("unit",) + tuple(t)):
-            kept.append((t, u))
-    m = len(kept)
     # numerator space basis: denominator space basis followed by kept units
-    space_rows = den_basis + [[fdom.normalize(v) for v in _vec(u)]
-                              for _, u in kept]
-    S = Mat.from_rows(space_rows, fdom).transpose()
-    dden = len(den_basis)
+    space = _span_echelon(list(A.basis) + den, dom)
+    dden = space.rank
+    kept = [(t, u) for t, u in zip(numerator_units, num)
+            if space.add(_flat(u))]
+    m = len(kept)
 
     def cls(mat):
-        sol = solve(S, [fdom.normalize(v) for v in _vec(mat)])
+        sol = space.coords(_flat(mat))
         if sol is NoSolution:
             raise AlgebraError("span is not stable under the algebra action")
         return sol[dden:]
@@ -513,14 +466,14 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
             for p, v in enumerate(cls(u.mul(a))):
                 if not fdom.is_zero(v):
                     rent[(p, q)] = v
-        left.append(Mat(m, m, dom, {k: v for k, v in lent.items()}))
-        right.append(Mat(m, m, dom, {k: v for k, v in rent.items()}))
+        left.append(Mat(m, m, dom, lent))
+        right.append(Mat(m, m, dom, rent))
     # stability of the denominator span on its own
     for a in A.basis:
         for u in den:
             for prod in (a.mul(u), u.mul(a)):
-                row = [fdom.normalize(v) for v in _vec(prod)]
-                if _class_is_new(row, _span_reducer(den_basis, fdom), fdom):
+                sol = space.coords(_flat(prod))
+                if sol is NoSolution or any(sol[dden:]):
                     raise AlgebraError(
                         "denominator span is not a sub-bimodule")
     tags = [("unit", t[0] - 1, t[1] - 1) for t, _ in kept]
@@ -543,10 +496,6 @@ class Splitting:
         self.radical_indices = tuple(radical_indices)  # into A.basis
         self.bigrading = tuple(bigrading)      # (t, u) block ids, 0-based
         self.block_of_row = tuple(block_of_row)
-
-    @property
-    def num_idempotents(self):
-        return len(self.idempotents)
 
     def __repr__(self):
         return "Splitting(%d idempotents, radical rank %d)" % (
@@ -609,16 +558,12 @@ def detect_splitting(A):
             raise NotSplit("radical basis element is not bigraded")
         bigrading.append(grades.pop())
     # radical span must be a two-sided nilpotent ideal
-    rad_span = Mat(len(offd), n * n, dom,
-                   {(k, t): v for k, x in enumerate(offd)
-                    for t, v in enumerate(_vec(x)) if v})
-    rad_t = (rad_span.change_domain(QQ) if dom == ZZ else rad_span).transpose()
-    fdom = QQ if dom == ZZ else dom
+    rad = _span_echelon(offd, dom)
 
     def radical_coords(mat):
         if mat.is_zero():
             return tuple(dom.zero() for _ in offd)
-        sol = solve(rad_t, [fdom.normalize(v) for v in _vec(mat)])
+        sol = rad.coords(_flat(mat))
         if sol is NoSolution:
             return NoSolution
         try:

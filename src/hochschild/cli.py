@@ -356,7 +356,8 @@ def cmd_compute(args):
         if isinstance(e, (AlgebraError, DegreeOutOfRange)):
             raise
         raise UsageError(str(e))  # e.g. --method jn off the J_n family
-    report = (moduli_report(A, method=args.method, budget=args.size_budget)
+    report = (moduli_report(A, method=args.method, budget=args.size_budget,
+                            result=res)
               if args.moduli else None)
     doc = result_document(A, ring_str, res, report)
     if args.format == "json":
@@ -379,7 +380,7 @@ def cmd_table(args):
         name = row[0]
         A = catalog(name, domain)
         res = cohomology_of(A, degrees=degrees, budget=args.size_budget)
-        report = moduli_report(A, budget=args.size_budget)
+        report = moduli_report(A, budget=args.size_budget, result=res)
         entry = {
             "name": name,
             "d": A.dim,

@@ -284,9 +284,7 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
                     "splitting data is inconsistent: differential hit the "
                     "missing cochain label %r" % (bad.args[0],))
         diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
-    cx = CochainComplex("cibils", dom, ranks, diffs, labels, A, M)
-    cx.splitting = sp
-    return cx
+    return CochainComplex("cibils", dom, ranks, diffs, labels, A, M)
 
 
 def jn_periodic_complex(n, domain, top_degree=None,

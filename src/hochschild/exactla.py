@@ -8,6 +8,9 @@ extraction) reduces to four primitives on exact matrices:
     solve           -- over a field, leftmost-pivot particular solution
     smith_normal_form -- over the integers, invariant factors d1 | d2 | ...
 
+plus `Echelon`, an echelon form of a spanning set kept with its transform,
+for reading many coordinate vectors in one fixed basis.
+
 Matrices are stored sparsely as a map (row, col) -> nonzero scalar.  Scalars
 are `Fraction` over Q, plain `int` over Z, and residues in [0, p) over F_p.
 Elimination over Q is fraction-free: rows are scaled to integers and updated
@@ -557,6 +560,70 @@ def kernel_basis(m):
             v[pc] = dom.neg(rows[r][f])
         basis.append(tuple(v))
     return basis
+
+
+class Echelon:
+    """Echelon form of a growing set of independent sparse rows.
+
+    add(row) reduces a {col: value} row against the recorded ones and keeps
+    it when something nonzero is left; kept rows form the basis, numbered
+    in the order they were kept.  Each echelon row is 1 at its pivot column
+    and 0 at the pivot columns of the rows before it, and carries its
+    transform: its coordinates in that basis.  One pass over the echelon
+    rows in order clears a vector at every pivot column; the vector lies in
+    the span exactly when nothing is left, and the multiples taken, through
+    the transforms, are its coordinates.  Over a field only.
+    """
+
+    def __init__(self, domain):
+        if not domain.is_field:
+            raise DomainNotField("echelon form needs a field")
+        self.domain = domain
+        self.rank = 0
+        self._p = getattr(domain, "p", None)
+        self._rows = []  # (pivot column, echelon row, transform)
+
+    def _reduce(self, row):
+        """(row minus a combination of echelon rows, zero at every pivot
+        column; the combination's coordinates in the basis)."""
+        dom, p = self.domain, self._p
+        rest = {}
+        for j, v in row.items():
+            v = dom.normalize(v)
+            if not dom.is_zero(v):
+                rest[j] = v
+        comb = {}
+        for col, erow, trans in self._rows:
+            f = rest.get(col)
+            if f:
+                rest = _axpy(rest, f, erow, p)
+                comb = _axpy(comb, -f, trans, p)
+        return rest, comb
+
+    def add(self, row):
+        """Record row when it is independent of the basis; True if it was."""
+        dom, p = self.domain, self._p
+        rest, comb = self._reduce(row)
+        if not rest:
+            return False
+        col = min(rest)
+        inv = dom.inv(rest[col])
+        # rest = row - comb, and row is basis vector number self.rank
+        trans = _axpy({self.rank: dom.one()}, 1, comb, p)
+        self._rows.append((col, {j: dom.mul(inv, v) for j, v in rest.items()},
+                           {k: dom.mul(inv, v) for k, v in trans.items()}))
+        self.rank += 1
+        return True
+
+    def coords(self, row):
+        """Coordinates of row in the recorded basis, or NoSolution."""
+        rest, comb = self._reduce(row)
+        if rest:
+            return NoSolution
+        out = [self.domain.zero()] * self.rank
+        for k, v in comb.items():
+            out[k] = v
+        return tuple(out)
 
 
 def solve(m, rhs):

@@ -144,12 +144,20 @@ class ModuliReport:
                    self.smooth_certificate, self.orbit_open_certificate))
 
 
-def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET):
+def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET, result=None):
     """Full report at A.  Over the integers the dimension formulas use
     free ranks (the saturated kernels make them agree with the rational
     fiber), while the certificates demand full vanishing including
-    torsion."""
-    res = cohomology_of(A, method=method, degrees=[0, 1, 2], budget=budget)
+    torsion.
+
+    result: a CohomologyResult already computed for A by `method`.  When
+    it holds degrees 0, 1 and 2 the report reads H^0..H^2 from it instead
+    of computing them again; otherwise it is ignored.
+    """
+    res = result
+    if res is None or not {0, 1, 2} <= set(res.degrees):
+        res = cohomology_of(A, method=method, degrees=[0, 1, 2],
+                            budget=budget)
     h0, h1, h2 = res[0], res[1], res[2]
     basis, ndim = normalizer(A)
     if _h_dim(h0) != ndim - A.dim:

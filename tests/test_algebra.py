@@ -13,11 +13,12 @@ from hochschild.algebra import (CATALOG_DEG2, CATALOG_DEG3, AlgebraError,
                                 NotSplit, NoUnit, UnknownName, catalog,
                                 catalog_info, conjugate_algebra,
                                 detect_splitting, direct_product,
-                                ideal_quotient_bimodule, quotient_bimodule,
-                                regular_bimodule, sandwich_bimodule,
+                                ideal_quotient_bimodule, mat_inverse,
+                                quotient_bimodule, regular_bimodule,
+                                sandwich_bimodule,
                                 structure_constants_ok, transpose_algebra,
                                 validate_splitting, verify_subalgebra)
-from hochschild.exactla import GF, QQ, ZZ, Mat, rank
+from hochschild.exactla import GF, QQ, ZZ, Mat, rank, solve
 
 from _tabledata import ALL_NAMES, DEG2, DEG3, TRANSPOSE_PAIRS
 
@@ -348,3 +349,151 @@ def test_random_unimodular_conjugates_stay_valid(seed):
     C = conjugate_algebra(A, g)
     assert structure_constants_ok(C)
     assert C.dim == A.dim
+
+
+# ---------------------------------------------------------------------------
+# the quotient bimodule against its dense definition
+
+ORACLE_EXTRA = ("B5", "J5", "P23", "conj(S11)")
+ORACLE_RINGS = (QQ, GF(2), GF(3), ZZ)
+
+
+def _oracle_algebra(name, dom):
+    if name == "P23":
+        return catalog("P", dom, (2, 3))
+    if name == "conj(S11)":
+        # unimodular, so the conjugate is valid over every ring
+        P = [[1, 2, 0], [0, 1, 3], [0, 0, 1]]
+        C = conjugate_algebra(catalog("S11", dom), P)
+        if dom != GF(2):  # where entries other than 0 and 1 exist
+            assert any(v not in (0, 1) for b in C.basis
+                       for v in b._d.values())
+        return C
+    return catalog(name, dom)
+
+
+def _dense_vec(m):
+    n = m.rows
+    return tuple(m.entry(i, j) for i in range(n) for j in range(n))
+
+
+def _dense_proj(A, bm):
+    """Rows d.. of the inverse of [basis | kept units], as columns."""
+    n, dom = A.n, A.domain
+    units = [Mat(n, n, dom, {(i, j): 1}) for _, i, j in bm.tags]
+    F = Mat.from_rows([list(_dense_vec(b)) for b in A.basis]
+                      + [list(_dense_vec(u)) for u in units], dom)
+    Finv = mat_inverse(F.transpose())
+    return Mat(bm.dim, n * n, dom, {(r - A.dim, c): v
+                                    for (r, c), v in Finv._d.items()
+                                    if r >= A.dim}), units
+
+
+def _combo(dom, coords, mats, m):
+    acc = Mat.zeros(m, m, dom)
+    for c, x in zip(coords, mats):
+        if not dom.is_zero(dom.normalize(c)):
+            acc = acc.add(x.scale(c))
+    return acc
+
+
+@pytest.mark.parametrize("dom", ORACLE_RINGS, ids=repr)
+@pytest.mark.parametrize("name", ALL_NAMES + ORACLE_EXTRA)
+def test_quotient_bimodule_matches_dense_oracle(name, dom):
+    A = _oracle_algebra(name, dom)
+    bm = quotient_bimodule(A)
+    proj, units = _dense_proj(A, bm)
+    assert bm.proj == proj
+    m = bm.dim
+    for k, a in enumerate(A.basis):
+        for q, u in enumerate(units):
+            lcol = proj.apply(_dense_vec(a.mul(u)))
+            rcol = proj.apply(_dense_vec(u.mul(a)))
+            assert lcol == tuple(bm.left[k].entry(p, q) for p in range(m))
+            assert rcol == tuple(bm.right[k].entry(p, q) for p in range(m))
+    # bimodule axioms through the structure constants
+    L, R = bm.left, bm.right
+    for i in range(A.dim):
+        for j in range(A.dim):
+            c = A.mult[i][j]
+            assert L[i].mul(L[j]) == _combo(dom, c, L, m), (i, j)
+            assert R[j].mul(R[i]) == _combo(dom, c, R, m), (i, j)
+            assert L[i].mul(R[j]) == R[j].mul(L[i]), (i, j)
+
+
+def test_quotient_bimodule_is_built_once():
+    A = catalog("S11", QQ)
+    assert quotient_bimodule(A) is quotient_bimodule(A)
+
+
+# ---------------------------------------------------------------------------
+# coordinates from one echelon form against one solve per vector
+
+def _span_t(A):
+    fdom = QQ if A.domain == ZZ else A.domain
+    return Mat(A.dim, A.n * A.n, fdom,
+               {(k, t): v for k, b in enumerate(A.basis)
+                for t, v in enumerate(_dense_vec(b)) if v}).transpose()
+
+
+def _solve_coords(span_t, m, dom):
+    sol = solve(span_t, _dense_vec(m))
+    if sol is NoSolution or dom != ZZ:
+        return sol
+    if any(v.denominator != 1 for v in sol):
+        return NoSolution
+    return tuple(int(v) for v in sol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_structure_constants_match_per_product_solve(seed):
+    rng = random.Random(seed)
+    for dom in (QQ, GF(3)):
+        A = catalog(rng.choice(["S11", "N3", "S6", "B3", "J3", "P21"]), dom)
+        n = A.n
+        while True:
+            P = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                               for _ in range(n)], dom)
+            try:
+                C = conjugate_algebra(A, P)
+                break
+            except NotInvertible:
+                continue
+        span_t = _span_t(C)
+        assert C.unit_coords == solve(span_t, _dense_vec(C.unit_matrix()))
+        for i, a in enumerate(C.basis):
+            for j, b in enumerate(C.basis):
+                assert C.mult[i][j] == solve(span_t, _dense_vec(a.mul(b)))
+
+
+def test_member_coords_match_solve_on_catalog():
+    for name in ALL_NAMES:
+        for dom in (QQ, GF(2), GF(3), ZZ):
+            A = catalog(name, dom)
+            span_t, n = _span_t(A), A.n
+            probes = list(A.basis) + [Mat(n, n, dom, {(i, j): 1})
+                                      for i in range(n) for j in range(n)]
+            probes.append(A.basis[-1].scale(2).add(A.unit_matrix()))
+            for m in probes:
+                assert A.member_coords(m) == _solve_coords(span_t, m, dom)
+    # over Z a rational member with fractional coordinates is no member
+    A = catalog("N2", ZZ)
+    assert A.member_coords(Mat(2, 2, ZZ, {(0, 0): 1})) is NoSolution
+
+
+def test_radical_products_match_solve_on_catalog():
+    for name in ALL_NAMES:
+        if name in NOT_SPLITTABLE:
+            continue
+        for dom in (QQ, GF(2), ZZ):
+            A = catalog(name, dom)
+            sp = detect_splitting(A)
+            fdom = QQ if dom == ZZ else dom
+            rad_t = Mat(len(sp.radical), A.n * A.n, fdom,
+                        {(k, t): v for k, x in enumerate(sp.radical)
+                         for t, v in enumerate(_dense_vec(x)) if v}
+                        ).transpose()
+            for (i, j), coords in sp.radical_products.items():
+                want = solve(rad_t, _dense_vec(sp.radical[i].mul(
+                    sp.radical[j])))
+                assert coords == tuple(dom.normalize(v) for v in want)

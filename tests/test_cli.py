@@ -171,6 +171,46 @@ def test_table_detects_mismatch(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one cohomology pass per request
+
+def _count_cohomology(monkeypatch):
+    """Record the algebra of every cohomology_of call from cli or moduli."""
+    from hochschild import moduli
+    calls = []
+    real = cli.cohomology_of
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.name)
+        return real(A, *args, **kwargs)
+    monkeypatch.setattr(cli, "cohomology_of", counted)
+    monkeypatch.setattr(moduli, "cohomology_of", counted)
+    return calls
+
+
+def test_table_computes_cohomology_once_per_row(capsys, monkeypatch):
+    calls = _count_cohomology(monkeypatch)
+    rc, _, _ = run(capsys, "table", "--degree", "3", "--ring", "Q",
+                   "--expected")
+    assert rc == 0
+    assert calls == [row[0] for row in cli._EXPECTED_ROWS[3]]
+    assert len(calls) == 26
+
+
+@pytest.mark.parametrize("name,ring", [("J3", "Z"), ("S10", "F2")])
+@pytest.mark.parametrize("max_degree,passes", [(0, 2), (1, 2), (2, 1)])
+def test_compute_moduli_reuses_its_cohomology(capsys, monkeypatch, name,
+                                              ring, max_degree, passes):
+    argv = ["compute", "--algebra", name, "--ring", ring, "--moduli"]
+    _, want, _ = run(capsys, *argv, "--max-degree", "2")
+    calls = _count_cohomology(monkeypatch)
+    rc, out, _ = run(capsys, *argv, "--max-degree", str(max_degree))
+    assert rc == 0
+    # below degree 2 the report computes its own H^0..H^2
+    assert len(calls) == passes
+    assert json.loads(out)["moduli"] == json.loads(want)["moduli"]
+
+
+# ---------------------------------------------------------------------------
 # verify command
 
 def write_algebra(tmp_path, doc, fname="alg.json"):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from hochschild.algebra import catalog
 from hochschild.cohomology import cohomology_of
-from hochschild.exactla import (GF, QQ, ZZ, DomainNotField, Mat, NoSolution,
-                                kernel_basis, rank, smith_normal_form, solve)
+from hochschild.exactla import (GF, QQ, ZZ, DomainNotField, Echelon, Mat,
+                                NoSolution, kernel_basis, rank,
+                                smith_normal_form, solve)
 
 # the commutator action of the 3x3 Jordan block on its 6-dimensional
 # quotient (rows/cols over the quotient unit-class basis); reused below as
@@ -154,6 +155,28 @@ def test_solve_membership_no_solution():
 def test_solve_requires_field():
     with pytest.raises(DomainNotField):
         solve(Mat.identity(2, ZZ), [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# echelon form with transform
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(3)], ids=repr)
+def test_echelon_coords_and_rank(dom):
+    rows = [{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 1, 1: 3, 2: 1}, {2: 2}]
+    ech = Echelon(dom)
+    # the third row is the sum of the first two
+    assert [ech.add(r) for r in rows] == [True, True, False, True]
+    assert ech.rank == 3
+    # coordinates in the kept rows 0, 1, 3: 2*r0 - r1 + 2*r3
+    assert ech.coords({0: 2, 1: 3, 2: 3}) == tuple(
+        dom.normalize(c) for c in (2, -1, 2))
+    two_rows = Echelon(dom)
+    two_rows.add(rows[0])
+    assert two_rows.coords({2: 1}) is NoSolution
+    assert two_rows.coords({}) == (dom.zero(),)
+    with pytest.raises(DomainNotField):
+        Echelon(ZZ)
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,6 @@ def _columns_of(mat):
     return cols
 
 
-def _acc(entries, key, val, dom):
-    cur = entries.get(key)
-    entries[key] = val if cur is None else dom.add(cur, val)
-
-
 def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
     """Shared assembly for bar (letters = all) / reduced (letters = 1..d-1)."""
     dom = A.domain
@@ -109,15 +104,18 @@ def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
         for v in letters:
             coords = A.mult[u][v]
             for k in letters:
-                if not dom.is_zero(dom.normalize(coords[k])):
-                    prodmap[k].append((u, v, dom.normalize(coords[k])))
+                c = dom.normalize(coords[k])
+                if not dom.is_zero(c):
+                    prodmap[k].append((u, v, c))
     lcols = {u: _columns_of(M.left[u]) for u in letters}
     rcols = {u: _columns_of(M.right[u]) for u in letters}
     labels = [tuple((w, q) for w in itertools.product(letters, repeat=p)
               for q in range(m)) for p in range(top_degree + 1)]
     diffs = []
     for p in range(top_degree):
+        # raw sums of domain values, normalized once by Mat._from_sums
         entries = {}
+        get = entries.get
         sign_last = 1 if (p + 1) % 2 == 0 else -1
         for wi, word in enumerate(itertools.product(letters, repeat=p)):
             colbase = wi * m
@@ -127,21 +125,23 @@ def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
                 for q in range(m):
                     col = colbase + q
                     for r, val in lcols[u][q]:
-                        _acc(entries, (rw1 + r, col), val, dom)
+                        key = (rw1 + r, col)
+                        entries[key] = get(key, 0) + val
                     for r, val in rcols[u][q]:
-                        sval = val if sign_last == 1 else dom.neg(val)
-                        _acc(entries, (rw3 + r, col), sval, dom)
+                        key = (rw3 + r, col)
+                        entries[key] = get(key, 0) + sign_last * val
             for i in range(1, p + 1):
-                negate = i % 2 == 1
+                sign = -1 if i % 2 == 1 else 1
                 for u, v, c in prodmap[word[i - 1]]:
                     y = word[:i - 1] + (u, v) + word[i:]
                     yi = 0
                     for dgt in y:
                         yi = yi * base + (dgt - off)
-                    val = dom.neg(c) if negate else c
+                    val = sign * c
                     for q in range(m):
-                        _acc(entries, (yi * m + q, colbase + q), val, dom)
-        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
+                        key = (yi * m + q, colbase + q)
+                        entries[key] = get(key, 0) + val
+        diffs.append(Mat._from_sums(ranks[p + 1], ranks[p], dom, entries))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
 
 
@@ -249,15 +249,18 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     prodmap = [[] for _ in range(R)]
     for (u, v), coords in sp.radical_products.items():
         for k in range(R):
-            if not dom.is_zero(dom.normalize(coords[k])):
-                prodmap[k].append((u, v, dom.normalize(coords[k])))
+            c = dom.normalize(coords[k])
+            if not dom.is_zero(c):
+                prodmap[k].append((u, v, c))
     lcols_r = [_columns_of(M.left[sp.radical_indices[k]]) for k in range(R)]
     rcols_r = [_columns_of(M.right[sp.radical_indices[k]]) for k in range(R)]
 
     diffs = []
     for p in range(top_degree):
         rowix = {lab: i for i, lab in enumerate(labels[p + 1])}
+        # raw sums of domain values, normalized once by Mat._from_sums
         entries = {}
+        get = entries.get
         sign_last = 1 if (p + 1) % 2 == 0 else -1
         for col, (w, q) in enumerate(labels[p]):
             t0 = tg[w[0]] if p else comp[q][0]
@@ -266,24 +269,23 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
                 for k in range(R):
                     if ug[k] == t0:
                         for r, val in lcols_r[k][q]:
-                            _acc(entries, (rowix[((k,) + w, r)], col),
-                                 val, dom)
+                            key = (rowix[((k,) + w, r)], col)
+                            entries[key] = get(key, 0) + val
                     if tg[k] == u_end:
                         for r, val in rcols_r[k][q]:
-                            sval = val if sign_last == 1 else dom.neg(val)
-                            _acc(entries, (rowix[(w + (k,), r)], col),
-                                 sval, dom)
+                            key = (rowix[(w + (k,), r)], col)
+                            entries[key] = get(key, 0) + sign_last * val
                 for i in range(1, p + 1):
-                    negate = i % 2 == 1
+                    sign = -1 if i % 2 == 1 else 1
                     for u, v, c in prodmap[w[i - 1]]:
                         y = w[:i - 1] + (u, v) + w[i:]
-                        val = dom.neg(c) if negate else c
-                        _acc(entries, (rowix[(y, q)], col), val, dom)
+                        key = (rowix[(y, q)], col)
+                        entries[key] = get(key, 0) + sign * c
             except KeyError as bad:
                 raise AlgebraError(
                     "splitting data is inconsistent: differential hit the "
                     "missing cochain label %r" % (bad.args[0],))
-        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
+        diffs.append(Mat._from_sums(ranks[p + 1], ranks[p], dom, entries))
     return CochainComplex("cibils", dom, ranks, diffs, labels, A, M)
 
 

@@ -12,7 +12,9 @@ plus `Echelon`, an echelon form of a spanning set kept with its transform,
 for reading many coordinate vectors in one fixed basis.
 
 Matrices are stored sparsely as a map (row, col) -> nonzero scalar.  Scalars
-are `Fraction` over Q, plain `int` over Z, and residues in [0, p) over F_p.
+over Q are `int` when integral and `Fraction` otherwise (arithmetic may
+leave a `Fraction` with denominator 1, which equals and hashes like its
+int); over Z they are plain `int`, and over F_p residues in [0, p).
 Elimination over Q is fraction-free: rows are scaled to integers and updated
 by two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
@@ -29,7 +31,7 @@ never the answer.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
-[(Fraction(-1, 1), Fraction(1, 1))]
+[(-1, 1)]
 >>> smith_normal_form(Mat.from_rows([[2, 4], [6, 8]], ZZ)).invariant_factors
 (2, 4)
 """
@@ -67,13 +69,17 @@ class _Rationals:
     name = "Q"
 
     def normalize(self, x):
-        return Fraction(x)
+        if type(x) is int:
+            return x
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -88,7 +94,7 @@ class _Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.normalize(Fraction(1) / a)
 
     def is_zero(self, a):
         return a == 0
@@ -103,6 +109,8 @@ class _Integers:
     name = "Z"
 
     def normalize(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError("non-integer value %r over Z" % (x,))
@@ -163,6 +171,8 @@ class GF:
         self.characteristic = p
 
     def normalize(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
@@ -233,6 +243,30 @@ class Mat:
                     self._d[(i, j)] = v
 
     @classmethod
+    def _from_sums(cls, rows, cols, domain, sums):
+        """Matrix whose entries are raw sums of domain values.
+
+        Callers accumulate with plain + and *; each sum is normalized here
+        once (reduced mod p, or an integral Fraction made an int over Q)
+        and dropped when zero.  Keys of kept entries must lie in range.
+        """
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.domain = rows, cols, domain
+        p = getattr(domain, "p", None)
+        if p is not None:
+            d = {k: w for k, v in sums.items() if (w := v % p)}
+        elif domain is QQ:
+            norm = domain.normalize
+            d = {k: norm(v) for k, v in sums.items() if v}
+        else:
+            d = {k: v for k, v in sums.items() if v}
+        for i, j in d:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError((i, j))
+        m._d = d
+        return m
+
+    @classmethod
     def from_rows(cls, data, domain):
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -268,8 +302,8 @@ class Mat:
         return out
 
     def transpose(self):
-        return Mat(self.cols, self.rows, self.domain,
-                   {(j, i): v for (i, j), v in self._d.items()})
+        return Mat._from_sums(self.cols, self.rows, self.domain,
+                              {(j, i): v for (i, j), v in self._d.items()})
 
     def change_domain(self, domain):
         return Mat(self.rows, self.cols, domain, dict(self._d))
@@ -277,46 +311,44 @@ class Mat:
     def add(self, other):
         self._check_compatible(other)
         ent = dict(self._d)
-        dom = self.domain
         for k, v in other._d.items():
-            ent[k] = dom.add(ent.get(k, dom.zero()), v)
-        return Mat(self.rows, self.cols, dom, ent)
+            ent[k] = ent.get(k, 0) + v
+        return Mat._from_sums(self.rows, self.cols, self.domain, ent)
 
     def neg(self):
-        dom = self.domain
-        return Mat(self.rows, self.cols, dom,
-                   {k: dom.neg(v) for k, v in self._d.items()})
+        return Mat._from_sums(self.rows, self.cols, self.domain,
+                              {k: -v for k, v in self._d.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        dom = self.domain
-        c = dom.normalize(c)
-        return Mat(self.rows, self.cols, dom,
-                   {k: dom.mul(v, c) for k, v in self._d.items()})
+        c = self.domain.normalize(c)
+        return Mat._from_sums(self.rows, self.cols, self.domain,
+                              {k: v * c for k, v in self._d.items()})
 
     def mul(self, other):
         if self.cols != other.rows or self.domain != other.domain:
             raise ValueError("incompatible shapes/domains for product")
-        dom = self.domain
         by_row = {}
         for (i, k), v in other._d.items():
             by_row.setdefault(i, []).append((k, v))
         acc = {}
+        get = acc.get
         for (i, j), v in self._d.items():
             for k, w in by_row.get(j, ()):
                 key = (i, k)
-                acc[key] = dom.add(acc.get(key, dom.zero()), dom.mul(v, w))
-        return Mat(self.rows, other.cols, dom, acc)
+                acc[key] = get(key, 0) + v * w
+        return Mat._from_sums(self.rows, other.cols, self.domain, acc)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of length self.cols."""
         dom = self.domain
-        out = [dom.zero()] * self.rows
+        vec = [dom.normalize(x) for x in vec]
+        out = [0] * self.rows
         for (i, j), v in self._d.items():
-            out[i] = dom.add(out[i], dom.mul(v, dom.normalize(vec[j])))
-        return tuple(out)
+            out[i] += v * vec[j]
+        return tuple(dom.normalize(x) for x in out)
 
     def _check_compatible(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -399,12 +431,17 @@ def _strip_row_gcd(row):
 
 
 def _int_rows(rows):
-    """Per-row integer scaling of Fraction rows (rank is scaling-invariant)."""
+    """Per-row integer scaling of rows over Q (rank is scaling-invariant).
+
+    Rows of normalized values that are all int need no scaling."""
     for i, row in rows.items():
         den = 1
         for v in row.values():
-            den = den * v.denominator // gcd(den, v.denominator)
-        rows[i] = _strip_row_gcd({j: int(v * den) for j, v in row.items()})
+            if type(v) is not int:
+                den = den * v.denominator // gcd(den, v.denominator)
+        if den != 1:
+            row = {j: int(v * den) for j, v in row.items()}
+        rows[i] = _strip_row_gcd(row)
     return rows
 
 

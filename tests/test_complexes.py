@@ -10,7 +10,7 @@ from hochschild.algebra import (AlgebraError, Bimodule, catalog,
                                 quotient_bimodule, regular_bimodule,
                                 sandwich_bimodule)
 from hochschild.complexes import (DEFAULT_SIZE_BUDGET, Cochain,
-                                  DegreeOverflow, SizeBudgetExceeded,
+                                  CochainComplex, DegreeOverflow, SizeBudgetExceeded,
                                   apply_d, bar_complex, cibils_complex,
                                   cup_product, jn_periodic_complex,
                                   reduced_bar_complex)
@@ -61,6 +61,47 @@ def test_method_tags_and_dd():
         assert cx.dd_verified
         for p in range(len(cx.diffs) - 1):
             assert cx.diffs[p + 1].mul(cx.diffs[p]).is_zero()
+
+
+RINGS = [QQ, GF(2), GF(3), ZZ]
+BUILDERS = [bar_complex, reduced_bar_complex, cibils_complex]
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_dd_check_rejects_corrupted_differential(build, dom):
+    cx = build(catalog("S6", dom), top_degree=3)
+    # the intact differentials pass the check
+    CochainComplex(cx.method_tag, dom, cx.ranks, cx.diffs, cx.labels)
+    for p in range(len(cx.diffs) - 1):
+        d, after = cx.diffs[p], cx.diffs[p + 1]
+        # adding 1 to d^p at a row that d^(p+1) reads adds that nonzero
+        # column of d^(p+1) to the product
+        row = min(c for _, c in after._d)
+        diffs = list(cx.diffs)
+        diffs[p] = Mat(d.rows, d.cols, dom,
+                       {**d._d, (row, 0): d.entry(row, 0) + 1})
+        with pytest.raises(RuntimeError,
+                           match=r"is nonzero \(%s\)" % cx.method_tag):
+            CochainComplex(cx.method_tag, dom, cx.ranks, diffs, cx.labels)
+
+
+@pytest.mark.parametrize("dom, a, b", [
+    (GF(2), 1, 1), (GF(3), 1, 2), (QQ, Fraction(1, 2), -Fraction(1, 2)),
+    (ZZ, 1, -1)], ids=repr)
+def test_cancelling_raw_sums_store_nothing(dom, a, b):
+    m = Mat._from_sums(2, 3, dom, {(0, 0): a + b, (1, 2): a})
+    assert m.nnz() == 1 and m.entry(0, 0) == 0 and m.entry(1, 2) == a
+    # the d.d product accumulates raw sums the same way
+    row = Mat.from_rows([[a, b]], dom)
+    assert row.mul(Mat.from_rows([[1], [1]], dom)).is_zero()
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+@pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_raw_sums_out_of_range(dom, key):
+    with pytest.raises(IndexError):
+        Mat._from_sums(2, 3, dom, {(0, 0): 1, key: 1})
 
 
 def test_fibonacci_ranks_for_auxiliary_bimodule():

@@ -58,6 +58,66 @@ def test_rank_fractional_entries():
 
 
 # ---------------------------------------------------------------------------
+# the Q domain: int when integral, Fraction otherwise, never float
+
+def test_rationals_store_integral_values_as_int():
+    assert type(QQ.normalize(Fraction(6, 3))) is int
+    assert type(QQ.normalize(Fraction(1, 2))) is Fraction
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(1) == 1
+    assert type(QQ.inv(Fraction(1, 3))) is int
+    m = _mat([[Fraction(4, 2), Fraction(1, 3)]], QQ)
+    assert [type(m.entry(0, j)) for j in range(2)] == [int, Fraction]
+
+
+def test_rationals_never_return_float():
+    vals = [0, 1, -3, 7, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2)]
+    outs = []
+    for a in vals:
+        outs += [QQ.normalize(a), QQ.neg(a)]
+        if a:
+            outs.append(QQ.inv(a))
+        for b in vals:
+            outs += [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b)]
+    assert not any(isinstance(x, float) for x in outs)
+
+
+def test_rational_matrix_from_ints_equals_from_fractions():
+    ints = _mat([[1, 0, -2], [3, 4, 0]], QQ)
+    fracs = _mat([[Fraction(2, 2), Fraction(0), Fraction(-4, 2)],
+                  [Fraction(3), Fraction(8, 2), 0]], QQ)
+    assert ints == fracs and hash(ints) == hash(fracs)
+    # a Fraction with denominator 1 equals and hashes like its int
+    raw = Mat.zeros(2, 3, QQ)
+    raw._d = {k: Fraction(v) for k, v in ints._d.items()}
+    assert raw == ints and hash(raw) == hash(ints)
+    # a product's integral sums of Fractions are stored as ints
+    half = _mat([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], QQ)
+    prod = half.mul(Mat.identity(2, QQ).scale(2))
+    assert prod == Mat.identity(2, QQ) and type(prod.entry(0, 0)) is int
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), GF(3), ZZ], ids=repr)
+def test_apply_matches_mul_by_column(dom):
+    rng = random.Random(17)
+    for _ in range(20):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_int_rows(rng, r, c)
+        vec = [rng.randint(-5, 5) for _ in range(c)]
+        if dom != ZZ:
+            # a denominator invertible in the field
+            vec[-1] = Fraction(rng.randint(-5, 5), 3 if dom == GF(2) else 2)
+        if dom == QQ:
+            rows[0][0] = Fraction(rng.randint(-5, 5), rng.randint(2, 4))
+        m = _mat(rows, dom)
+        col = m.mul(Mat(c, 1, dom, {(j, 0): v for j, v in enumerate(vec)}))
+        want = tuple(col.entry(i, 0) for i in range(r))
+        got = m.apply(vec)
+        assert got == want
+        assert all(dom.normalize(v) == v for v in got)
+
+
+# ---------------------------------------------------------------------------
 # kernel
 
 def test_kernel_identity_empty():
@@ -193,6 +253,44 @@ def test_rank_matches_sympy_over_q():
         r, c = rng.randint(1, 7), rng.randint(1, 7)
         rows = _random_int_rows(rng, r, c)
         assert rank(_mat(rows, QQ)) == sympy.Matrix(rows).rank()
+
+
+def _random_mixed_rows(rng, r, c):
+    """Rows of ints and non-integral Fractions, the last row dependent."""
+    rows = [[(Fraction(rng.randint(-5, 5), rng.choice((2, 3, 4)))
+              if rng.random() < 0.4 else rng.randint(-4, 4))
+             if rng.random() < 0.7 else 0 for _ in range(c)]
+            for _ in range(r)]
+    rows[0][0] = Fraction(rng.choice((-1, 1)), rng.choice((2, 3)))
+    if r > 2:
+        rows[-1] = [a + Fraction(1, 3) * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _from_sympy(v):
+    return Fraction(int(v.p), int(v.q))
+
+
+def test_mixed_rational_matrices_match_sympy():
+    rng = random.Random(23)
+    for _ in range(40):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = _random_mixed_rows(rng, r, c)
+        m = _mat(rows, QQ)
+        sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                            for v in row] for row in rows])
+        assert rank(m) == sm.rank(), rows
+        assert kernel_basis(m) == [tuple(_from_sympy(x) for x in v)
+                                   for v in sm.nullspace()], rows
+        rhs = [rng.randint(-3, 3) for _ in range(r)]
+        rhs[0] = Fraction(1, 2)
+        try:
+            sol, params = sm.gauss_jordan_solve(sympy.Matrix(rhs))
+        except ValueError:  # inconsistent
+            assert solve(m, rhs) is NoSolution, rows
+        else:
+            sol = sol.subs({t: 0 for t in params})
+            assert solve(m, rhs) == tuple(_from_sympy(x) for x in sol), rows
 
 
 def test_modular_rank_matches_sympy_factors():

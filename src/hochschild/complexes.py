@@ -113,7 +113,7 @@ def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
               for q in range(m)) for p in range(top_degree + 1)]
     diffs = []
     for p in range(top_degree):
-        # raw sums of domain values, normalized once by Mat._from_sums
+        # raw sums of domain values, normalized once by Mat
         entries = {}
         get = entries.get
         sign_last = 1 if (p + 1) % 2 == 0 else -1
@@ -141,7 +141,7 @@ def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
                     for q in range(m):
                         key = (yi * m + q, colbase + q)
                         entries[key] = get(key, 0) + val
-        diffs.append(Mat._from_sums(ranks[p + 1], ranks[p], dom, entries))
+        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
 
 
@@ -258,7 +258,7 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     diffs = []
     for p in range(top_degree):
         rowix = {lab: i for i, lab in enumerate(labels[p + 1])}
-        # raw sums of domain values, normalized once by Mat._from_sums
+        # raw sums of domain values, normalized once by Mat
         entries = {}
         get = entries.get
         sign_last = 1 if (p + 1) % 2 == 0 else -1
@@ -285,7 +285,7 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
                 raise AlgebraError(
                     "splitting data is inconsistent: differential hit the "
                     "missing cochain label %r" % (bad.args[0],))
-        diffs.append(Mat._from_sums(ranks[p + 1], ranks[p], dom, entries))
+        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
     return CochainComplex("cibils", dom, ranks, diffs, labels, A, M)
 
 

@@ -230,41 +230,24 @@ class Mat:
     __slots__ = ("rows", "cols", "domain", "_d")
 
     def __init__(self, rows, cols, domain, entries=None):
+        """Matrix from a map (row, col) -> value.
+
+        Values may be raw sums of domain values built with plain + and *;
+        each is normalized once, zeros are dropped and every kept key must
+        lie in range.
+        """
         self.rows = rows
         self.cols = cols
         self.domain = domain
-        self._d = {}
-        if entries:
-            for (i, j), v in entries.items():
-                v = domain.normalize(v)
-                if not domain.is_zero(v):
-                    if not (0 <= i < rows and 0 <= j < cols):
-                        raise IndexError((i, j))
-                    self._d[(i, j)] = v
-
-    @classmethod
-    def _from_sums(cls, rows, cols, domain, sums):
-        """Matrix whose entries are raw sums of domain values.
-
-        Callers accumulate with plain + and *; each sum is normalized here
-        once (reduced mod p, or an integral Fraction made an int over Q)
-        and dropped when zero.  Keys of kept entries must lie in range.
-        """
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.domain = rows, cols, domain
-        p = getattr(domain, "p", None)
-        if p is not None:
-            d = {k: w for k, v in sums.items() if (w := v % p)}
-        elif domain is QQ:
-            norm = domain.normalize
-            d = {k: norm(v) for k, v in sums.items() if v}
-        else:
-            d = {k: v for k, v in sums.items() if v}
+        if not entries:
+            self._d = {}
+            return
+        norm = domain.normalize
+        d = {k: w for k, v in entries.items() if (w := norm(v))}
         for i, j in d:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError((i, j))
-        m._d = d
-        return m
+        self._d = d
 
     @classmethod
     def from_rows(cls, data, domain):
@@ -302,30 +285,30 @@ class Mat:
         return out
 
     def transpose(self):
-        return Mat._from_sums(self.cols, self.rows, self.domain,
-                              {(j, i): v for (i, j), v in self._d.items()})
+        return Mat(self.cols, self.rows, self.domain,
+                   {(j, i): v for (i, j), v in self._d.items()})
 
     def change_domain(self, domain):
-        return Mat(self.rows, self.cols, domain, dict(self._d))
+        return Mat(self.rows, self.cols, domain, self._d)
 
     def add(self, other):
         self._check_compatible(other)
         ent = dict(self._d)
         for k, v in other._d.items():
             ent[k] = ent.get(k, 0) + v
-        return Mat._from_sums(self.rows, self.cols, self.domain, ent)
+        return Mat(self.rows, self.cols, self.domain, ent)
 
     def neg(self):
-        return Mat._from_sums(self.rows, self.cols, self.domain,
-                              {k: -v for k, v in self._d.items()})
+        return Mat(self.rows, self.cols, self.domain,
+                   {k: -v for k, v in self._d.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         c = self.domain.normalize(c)
-        return Mat._from_sums(self.rows, self.cols, self.domain,
-                              {k: v * c for k, v in self._d.items()})
+        return Mat(self.rows, self.cols, self.domain,
+                   {k: v * c for k, v in self._d.items()})
 
     def mul(self, other):
         if self.cols != other.rows or self.domain != other.domain:
@@ -339,7 +322,7 @@ class Mat:
             for k, w in by_row.get(j, ()):
                 key = (i, k)
                 acc[key] = get(key, 0) + v * w
-        return Mat._from_sums(self.rows, other.cols, self.domain, acc)
+        return Mat(self.rows, other.cols, self.domain, acc)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of length self.cols."""

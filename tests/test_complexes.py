@@ -90,7 +90,7 @@ def test_dd_check_rejects_corrupted_differential(build, dom):
     (GF(2), 1, 1), (GF(3), 1, 2), (QQ, Fraction(1, 2), -Fraction(1, 2)),
     (ZZ, 1, -1)], ids=repr)
 def test_cancelling_raw_sums_store_nothing(dom, a, b):
-    m = Mat._from_sums(2, 3, dom, {(0, 0): a + b, (1, 2): a})
+    m = Mat(2, 3, dom, {(0, 0): a + b, (1, 2): a})
     assert m.nnz() == 1 and m.entry(0, 0) == 0 and m.entry(1, 2) == a
     # the d.d product accumulates raw sums the same way
     row = Mat.from_rows([[a, b]], dom)
@@ -101,7 +101,20 @@ def test_cancelling_raw_sums_store_nothing(dom, a, b):
 @pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
 def test_raw_sums_out_of_range(dom, key):
     with pytest.raises(IndexError):
-        Mat._from_sums(2, 3, dom, {(0, 0): 1, key: 1})
+        Mat(2, 3, dom, {(0, 0): 1, key: 1})
+
+
+def test_constructor_normalizes_through_the_domain():
+    # every value goes through domain.normalize, including raw sums
+    with pytest.raises(ValueError):
+        Mat(1, 1, ZZ, {(0, 0): Fraction(1, 2)})
+    assert type(Mat(1, 1, ZZ, {(0, 0): Fraction(4, 2)}).entry(0, 0)) is int
+    assert Mat(1, 1, GF(3), {(0, 0): Fraction(1, 2)}).entry(0, 0) == 2
+    with pytest.raises(ZeroDivisionError):
+        Mat(1, 1, GF(3), {(0, 0): Fraction(1, 3)})
+    q = Mat(1, 2, QQ, {(0, 0): Fraction(1, 2) + Fraction(1, 2),
+                       (0, 1): Fraction(1, 3)})
+    assert type(q.entry(0, 0)) is int and q.entry(0, 1) == Fraction(1, 3)
 
 
 def test_fibonacci_ranks_for_auxiliary_bimodule():

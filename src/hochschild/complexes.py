@@ -1,26 +1,30 @@
 """Finite truncations of Hochschild cochain complexes with exact matrices.
 
-Four constructions, sharing one convention (H^p = ker d^p / im d^{p-1},
-d^{-1} = 0):
+One convention throughout: H^p = ker d^p / im d^{p-1}, d^{-1} = 0.
 
-    bar_complex          C^p = Hom(A^{tensor p}, M), rank d^p * m
-    reduced_bar_complex  letters range over a complement of the unit line;
-                         rank (d-1)^p * m
-    cibils_complex       for algebras split into diagonal 0/1 idempotents
-                         plus a bigraded nilpotent radical: words are
-                         composable radical letters and coefficients sit in
-                         the matching block of the bimodule
-    jn_periodic_complex  the 2-periodic complex for the truncated
-                         polynomial algebra embedded as a Jordan block:
-                         commutator map in even degrees, norm map (zero on
-                         the canonical quotient) in odd degrees
+bar, reduced and cibils are one word complex over three alphabets.  Letters
+of A and coordinates of the bimodule M each carry a (source, target) block;
+C^p is spanned by (word, q) for the composable words of p letters and the
+coordinates q of the word's block.  d sums the left action of a prepended
+letter, the products of neighbouring letters and the right action of an
+appended letter, with alternating signs.  Ranks are counted before any word
+is built, so the size budget refuses a request before any work.
 
-Every constructor verifies d(p+1) . d(p) = 0 by exact multiplication and
-enforces a size budget on cochain ranks.  The cup product is provided for
-bar/reduced cochains with an explicit coefficient pairing.
+    bar_complex          all of A's basis, one block: rank d^p * m
+    reduced_bar_complex  a complement of the unit line: rank (d-1)^p * m
+    cibils_complex       the radical basis of an algebra split into
+                         diagonal 0/1 idempotents, one block per idempotent
+    jn_periodic_complex  apart from these: the 2-periodic complex of the
+                         Jordan-block truncated polynomial algebra,
+                         commutator in even degrees, norm map (zero on the
+                         canonical quotient) in odd degrees
+
+Every constructor verifies d(p+1) . d(p) = 0 by exact multiplication.  The
+cup product is provided for bar/reduced cochains with an explicit
+coefficient pairing.
 """
 
-import itertools
+from itertools import repeat
 
 from .algebra import (AlgebraError, _bimodule_from_units, catalog,
                       detect_splitting, quotient_bimodule)
@@ -88,58 +92,137 @@ def _columns_of(mat):
     return cols
 
 
-def _tensor_bar_like(A, M, top_degree, budget, letters, tag):
-    """Shared assembly for bar (letters = all) / reduced (letters = 1..d-1)."""
+def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
+                  products=None, comp=None):
+    """Word complex of an alphabet of letters of A with coefficients in M.
+
+    `letters` maps each letter's name, in increasing order, to its index in
+    A.basis; words are tuples of names.  `grading` gives each letter's
+    (source, target) block and `comp` each coordinate's block (default: one
+    block for all); products[u, v] holds the product's coordinates over the
+    names (default: A.mult).  C^0 takes the coordinates of blocks with
+    source = target.
+    """
     dom = A.domain
-    m = M.dim
-    base = len(letters)
-    off = letters[0] if letters else 0  # letters are contiguous
-    ranks = [m * base ** p if (base or p == 0) else 0
-             for p in range(top_degree + 1)]
-    if base == 0:
-        ranks = [m] + [0] * top_degree
-    _check_budget(ranks, budget, tag)
-    prodmap = [[] for _ in range(A.dim)]
-    for u in letters:
-        for v in letters:
-            coords = A.mult[u][v]
-            for k in letters:
-                c = dom.normalize(coords[k])
-                if not dom.is_zero(c):
-                    prodmap[k].append((u, v, c))
-    lcols = {u: _columns_of(M.left[u]) for u in letters}
-    rcols = {u: _columns_of(M.right[u]) for u in letters}
-    labels = [tuple((w, q) for w in itertools.product(letters, repeat=p)
-              for q in range(m)) for p in range(top_degree + 1)]
-    diffs = []
+    if grading is None:
+        grading = dict.fromkeys(letters, (0, 0))
+        comp = [(0, 0)] * M.dim
+    if products is None:
+        products = {(u, v): A.mult[u][v] for u in letters for v in letters}
+    by_block, pos = {}, []
+    for q, st in enumerate(comp):
+        qs = by_block.setdefault(st, [])
+        pos.append(len(qs))
+        qs.append(q)
+    live = {s for s, _ in by_block}
+    into, out_of = {}, {}
+    for k in letters:
+        s, t = grading[k]
+        into.setdefault(t, []).append(k)
+        out_of.setdefault(s, []).append(k)
+    diag = [q for q, (s, t) in enumerate(comp) if s == t]
+
+    # words per (first source, last target), times the block sizes
+    ranks = [len(diag)]
+    counts = {(s, s): 1 for s in live}
     for p in range(top_degree):
+        grown = {}
+        for (s, t), c in counts.items():
+            for k in out_of.get(t, ()):
+                st = (s, grading[k][1])
+                grown[st] = grown.get(st, 0) + c
+        counts = grown
+        ranks.append(sum(c * len(by_block.get(st, ()))
+                         for st, c in counts.items()))
+    _check_budget(ranks, budget, tag)
+
+    def acting(k, cols, qs, want):
+        """Letter k's action on the coordinates qs, rows as positions in the
+        block `want` they must land in; None where it is zero."""
+        if any(comp[r] != want for q in qs for r, _ in cols[q]):
+            raise AlgebraError("splitting data is inconsistent: letter %r "
+                               "moves a coordinate off block %r" % (k, want))
+        out = {q: [(pos[r], v) for r, v in cols[q]] for q in qs}
+        return out if any(out.values()) else None
+
+    # per block of coordinates, the letters acting on it from either side
+    lcols = {k: _columns_of(M.left[i]) for k, i in letters.items()}
+    rcols = {k: _columns_of(M.right[i]) for k, i in letters.items()}
+    lefts, rights = {}, {}
+    for (s, t), qs in by_block.items():
+        lefts[s, t] = [((k,), a) for k in into.get(s, ()) if (a := acting(
+            k, lcols[k], qs, (grading[k][0], t)))]
+        rights[s, t] = [((k,), a) for k in out_of.get(t, ()) if (a := acting(
+            k, rcols[k], qs, (s, grading[k][1])))]
+    prodmap = {k: [] for k in letters}
+    for (u, v), coords in products.items():
+        for k in letters:
+            c = dom.normalize(coords[k])
+            if dom.is_zero(c):
+                continue
+            if (grading[u][0], grading[u][1], grading[v][1]) != (
+                    grading[k][0], grading[v][0], grading[k][1]):
+                raise AlgebraError(
+                    "splitting data is inconsistent: product of letters "
+                    "%r, %r has a component off their blocks" % (u, v))
+            prodmap[k].append((u, v, c))
+
+    def column_blocks(p, offsets):
+        """(word, first column, coordinates, their block) per block of
+        columns of C^p; in degree 0 each coordinate is its own block."""
+        if p == 0:
+            for j, q in enumerate(diag):
+                yield (), j, (q,), comp[q]
+        for w, base in offsets.items():
+            st = grading[w[0]][0], grading[w[-1]][1]
+            yield w, base, by_block[st], st
+
+    labels = [tuple(((), q) for q in diag)]
+    diffs = []
+    words = [(k,) for k in letters if grading[k][0] in live]
+    rowoff = {}
+    # every key of a differential shares these index objects
+    row_ints = list(range(ranks[0]))
+    for p in range(top_degree):
+        if p:
+            words = [w + (k,) for w in words
+                     for k in out_of.get(grading[w[-1]][1], ())]
+        cols, rowoff, label = rowoff, {}, []
+        for w in words:
+            qs = by_block.get((grading[w[0]][0], grading[w[-1]][1]))
+            if qs:
+                rowoff[w] = len(label)
+                label += zip(repeat(w), qs)
+        labels.append(tuple(label))
+        col_ints, row_ints = row_ints, list(range(ranks[p + 1]))
         # raw sums of domain values, normalized once by Mat
         entries = {}
         get = entries.get
         sign_last = 1 if (p + 1) % 2 == 0 else -1
-        for wi, word in enumerate(itertools.product(letters, repeat=p)):
-            colbase = wi * m
-            for u in letters:
-                rw1 = ((u - off) * base ** p + wi) * m
-                rw3 = (wi * base + (u - off)) * m
-                for q in range(m):
-                    col = colbase + q
-                    for r, val in lcols[u][q]:
-                        key = (rw1 + r, col)
+        for w, base, qs, st in column_blocks(p, cols):
+            n = len(qs)
+            block = list(zip(col_ints[base:base + n], qs))
+            # a letter acting on the block leads to a row word that exists
+            for k, acts in lefts[st]:
+                off = rowoff[k + w]
+                for col, q in block:
+                    for r, val in acts[q]:
+                        key = (row_ints[off + r], col)
                         entries[key] = get(key, 0) + val
-                    for r, val in rcols[u][q]:
-                        key = (rw3 + r, col)
+            for k, acts in rights[st]:
+                off = rowoff[w + k]
+                for col, q in block:
+                    for r, val in acts[q]:
+                        key = (row_ints[off + r], col)
                         entries[key] = get(key, 0) + sign_last * val
-            for i in range(1, p + 1):
-                sign = -1 if i % 2 == 1 else 1
-                for u, v, c in prodmap[word[i - 1]]:
-                    y = word[:i - 1] + (u, v) + word[i:]
-                    yi = 0
-                    for dgt in y:
-                        yi = yi * base + (dgt - off)
+            # an inner product keeps the word's block, so q keeps its row
+            for i in range(p):
+                sign = 1 if i % 2 else -1
+                for u, v, c in prodmap[w[i]]:
+                    off = rowoff[w[:i] + (u, v) + w[i + 1:]]
                     val = sign * c
-                    for q in range(m):
-                        key = (yi * m + q, colbase + q)
+                    for key in zip(row_ints[off:off + n],
+                                   col_ints[base:base + n]):
                         entries[key] = get(key, 0) + val
         diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
@@ -153,8 +236,8 @@ def bar_complex(A, M=None, top_degree=None, budget=DEFAULT_SIZE_BUDGET):
         M = quotient_bimodule(A)
     if len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
-    return _tensor_bar_like(A, M, top_degree, budget,
-                            tuple(range(A.dim)), "bar")
+    return _word_complex("bar", A, M, top_degree, budget,
+                         {k: k for k in range(A.dim)})
 
 
 def reduced_bar_complex(A, M=None, top_degree=None,
@@ -171,8 +254,8 @@ def reduced_bar_complex(A, M=None, top_degree=None,
             "call with_unit_first() and rebuild the bimodule")
     if len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
-    return _tensor_bar_like(A, M, top_degree, budget,
-                            tuple(range(1, A.dim)), "reduced")
+    return _word_complex("reduced", A, M, top_degree, budget,
+                         {k: k for k in range(1, A.dim)})
 
 
 def cibils_complex(A, splitting=None, M=None, top_degree=None,
@@ -189,104 +272,28 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     if M is None:
         M = quotient_bimodule(A)
     dom = A.domain
-    m = M.dim
-    rad_set = set(sp.radical_indices)
-    idem_idx = [k for k in range(A.dim) if k not in rad_set]
+    idem_idx = [k for k in range(A.dim) if k not in sp.radical_indices]
     nb = len(sp.idempotents)
-    R = len(sp.radical)
-    tg = [g[0] for g in sp.bigrading]
-    ug = [g[1] for g in sp.bigrading]
 
     # component of each module basis vector under e_t . m . e_u
     lcols_e = [_columns_of(M.left[idem_idx[t]]) for t in range(nb)]
     rcols_e = [_columns_of(M.right[idem_idx[t]]) for t in range(nb)]
 
     def _pick(cols_per_block, q):
-        hit = None
-        for t in range(nb):
-            col = cols_per_block[t][q]
-            if not col:
-                continue
-            if col == [(q, dom.one())]:
-                if hit is not None:
-                    return None
-                hit = t
-            else:
-                return None
-        return hit
+        hits = [t for t in range(nb) if cols_per_block[t][q]]
+        if len(hits) == 1 and cols_per_block[hits[0]][q] == [(q, dom.one())]:
+            return hits[0]
+        return None
 
     comp = []
-    for q in range(m):
-        t = _pick(lcols_e, q)
-        u = _pick(rcols_e, q)
-        if t is None or u is None:
+    for q in range(M.dim):
+        comp.append((_pick(lcols_e, q), _pick(rcols_e, q)))
+        if None in comp[-1]:
             raise AlgebraError(
                 "bimodule basis vector %d is not adapted to the splitting" % q)
-        comp.append((t, u))
-    comp_lists = {}
-    for q, tu in enumerate(comp):
-        comp_lists.setdefault(tu, []).append(q)
-
-    words = [[()]]
-    for p in range(1, top_degree + 1):
-        if p == 1:
-            words.append([(k,) for k in range(R)])
-        else:
-            words.append([w + (k,) for w in words[p - 1]
-                          for k in range(R) if ug[w[-1]] == tg[k]])
-    labels = []
-    for p in range(top_degree + 1):
-        if p == 0:
-            labels.append(tuple(((), q) for q in range(m)
-                                if comp[q][0] == comp[q][1]))
-        else:
-            labels.append(tuple((w, q) for w in words[p]
-                                for q in comp_lists.get((tg[w[0]], ug[w[-1]]),
-                                                        ())))
-    ranks = [len(l) for l in labels]
-    _check_budget(ranks, budget, "cibils")
-
-    prodmap = [[] for _ in range(R)]
-    for (u, v), coords in sp.radical_products.items():
-        for k in range(R):
-            c = dom.normalize(coords[k])
-            if not dom.is_zero(c):
-                prodmap[k].append((u, v, c))
-    lcols_r = [_columns_of(M.left[sp.radical_indices[k]]) for k in range(R)]
-    rcols_r = [_columns_of(M.right[sp.radical_indices[k]]) for k in range(R)]
-
-    diffs = []
-    for p in range(top_degree):
-        rowix = {lab: i for i, lab in enumerate(labels[p + 1])}
-        # raw sums of domain values, normalized once by Mat
-        entries = {}
-        get = entries.get
-        sign_last = 1 if (p + 1) % 2 == 0 else -1
-        for col, (w, q) in enumerate(labels[p]):
-            t0 = tg[w[0]] if p else comp[q][0]
-            u_end = ug[w[-1]] if p else comp[q][1]
-            try:
-                for k in range(R):
-                    if ug[k] == t0:
-                        for r, val in lcols_r[k][q]:
-                            key = (rowix[((k,) + w, r)], col)
-                            entries[key] = get(key, 0) + val
-                    if tg[k] == u_end:
-                        for r, val in rcols_r[k][q]:
-                            key = (rowix[(w + (k,), r)], col)
-                            entries[key] = get(key, 0) + sign_last * val
-                for i in range(1, p + 1):
-                    sign = -1 if i % 2 == 1 else 1
-                    for u, v, c in prodmap[w[i - 1]]:
-                        y = w[:i - 1] + (u, v) + w[i:]
-                        key = (rowix[(y, q)], col)
-                        entries[key] = get(key, 0) + sign * c
-            except KeyError as bad:
-                raise AlgebraError(
-                    "splitting data is inconsistent: differential hit the "
-                    "missing cochain label %r" % (bad.args[0],))
-        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
-    return CochainComplex("cibils", dom, ranks, diffs, labels, A, M)
+    return _word_complex("cibils", A, M, top_degree, budget,
+                         dict(enumerate(sp.radical_indices)), sp.bigrading,
+                         sp.radical_products, comp)
 
 
 def jn_periodic_complex(n, domain, top_degree=None,

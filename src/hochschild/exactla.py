@@ -676,109 +676,44 @@ class SmithForm:
     right: object = None  # Mat over Z, cols transform
 
 
-def _snf_core(rows):
-    """Classic elementary-operation SNF on a small dense core.
+def _snf_dense(rows, ncols, transforms=False):
+    """Classic elementary-operation SNF on a dense integer matrix.
 
     Pivot = nonzero entry of minimal absolute value (ties: smallest row,
     then column).  The pivot is grown to divide everything that remains
     before being recorded, so the divisibility chain holds by construction.
+    rows (a list of ncols-long int lists) is reduced in place.  Returns
+    the invariant factors; with transforms, also unimodular U, V (as Mat)
+    with U * rows * V diagonal.
     """
-    m = [list(r) for r in rows]
-    factors = []
-    top = 0
+    m = rows
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    while True:
-        best = None
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                v = m[i][j]
-                if v and (best is None or (abs(v), i, j) < best):
-                    best = (abs(v), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        while True:
-            piv = m[top][top]
-            # clear the pivot column
-            dirty = False
-            for i in range(top + 1, nrows):
-                if m[i][top]:
-                    q = m[i][top] // piv
-                    if q:
-                        m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // piv
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the remaining block
-            off = None
-            for i in range(top + 1, nrows):
-                for j in range(top + 1, ncols):
-                    if m[i][j] % piv:
-                        off = i
-                        break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            m[top] = [a + b for a, b in zip(m[top], m[off])]
-        factors.append(abs(m[top][top]))
-        top += 1
-        if top == min(nrows, ncols):
-            break
-    return factors
-
-
-def _snf_with_transforms(mat):
-    """Dense SNF tracking unimodular U, V with U * mat * V diagonal."""
-    m = [list(r) for r in _dense_int_rows(mat)]
-    nrows, ncols = mat.rows, mat.cols
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    U, V = ([[int(i == j) for j in range(k)] for i in range(k)]
+            if transforms else [] for k in (nrows, ncols))
 
     def swap_rows(a, b):
         m[a], m[b] = m[b], m[a]
-        U[a], U[b] = U[b], U[a]
+        if U:
+            U[a], U[b] = U[b], U[a]
 
     def addmul_row(dst, src, q):
         m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
+        if U:
+            U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
 
     def swap_cols(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        for row in V:
-            row[a], row[b] = row[b], row[a]
+        for block in (m, V):
+            for row in block:
+                row[a], row[b] = row[b], row[a]
 
     def addmul_col(dst, src, q):
-        for row in m:
-            row[dst] -= q * row[src]
-        for row in V:
-            row[dst] -= q * row[src]
+        for block in (m, V):
+            for row in block:
+                row[dst] -= q * row[src]
 
     factors = []
     top = 0
-    while True:
+    while top < min(nrows, ncols):
         best = None
         for i in range(top, nrows):
             for j in range(top, ncols):
@@ -788,13 +723,12 @@ def _snf_with_transforms(mat):
         if best is None:
             break
         _, bi, bj = best
-        if bi != top:
-            swap_rows(top, bi)
-        if bj != top:
-            swap_cols(top, bj)
+        swap_rows(top, bi)
+        swap_cols(top, bj)
         while True:
             piv = m[top][top]
-            dirty = False
+            # clear the pivot column, then the pivot row; a remainder
+            # becomes the new pivot and the clearing starts over
             for i in range(top + 1, nrows):
                 if m[i][top]:
                     q = m[i][top] // piv
@@ -802,49 +736,31 @@ def _snf_with_transforms(mat):
                         addmul_row(i, top, q)
                     if m[i][top]:
                         swap_rows(top, i)
-                        dirty = True
                         break
-            if dirty:
-                continue
-            for j in range(top + 1, ncols):
-                if m[top][j]:
-                    q = m[top][j] // piv
-                    if q:
-                        addmul_col(j, top, q)
-                    if m[top][j]:
-                        swap_cols(top, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            off = None
-            for i in range(top + 1, nrows):
+            else:
                 for j in range(top + 1, ncols):
-                    if m[i][j] % piv:
-                        off = i
+                    if m[top][j]:
+                        q = m[top][j] // piv
+                        if q:
+                            addmul_col(j, top, q)
+                        if m[top][j]:
+                            swap_cols(top, j)
+                            break
+                else:
+                    # pivot must divide the remaining block
+                    off = next((i for i in range(top + 1, nrows)
+                                for j in range(top + 1, ncols)
+                                if m[i][j] % piv), None)
+                    if off is None:
                         break
-                if off is not None:
-                    break
-            if off is None:
-                break
-            addmul_row(top, off, -1)
-        if m[top][top] < 0:
-            m[top] = [-x for x in m[top]]
+                    addmul_row(top, off, -1)
+        if m[top][top] < 0 and U:
             U[top] = [-x for x in U[top]]
-        factors.append(m[top][top])
+        factors.append(abs(m[top][top]))
         top += 1
-        if top == min(nrows, ncols):
-            break
-    left = Mat.from_rows(U, ZZ) if nrows else Mat.zeros(0, 0, ZZ)
-    right = Mat.from_rows(V, ZZ) if ncols else Mat.zeros(0, 0, ZZ)
-    return factors, left, right
-
-
-def _dense_int_rows(m):
-    out = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m._d.items():
-        out[i][j] = v
-    return out
+    if not transforms:
+        return factors
+    return factors, Mat.from_rows(U, ZZ), Mat.from_rows(V, ZZ)
 
 
 def smith_normal_form(m, want_transforms=False):
@@ -852,7 +768,8 @@ def smith_normal_form(m, want_transforms=False):
     if m.domain != ZZ:
         raise DomainNotField("smith_normal_form expects a Z matrix")
     if want_transforms:
-        factors, left, right = _snf_with_transforms(m)
+        factors, left, right = _snf_dense(m.to_rows(), m.cols,
+                                         transforms=True)
         return SmithForm(tuple(factors), len(factors), left, right)
     # a +-1 pivot divides everything, so unit pivots go first, sparsely;
     # what is left has no unit entry and goes to the dense core
@@ -867,5 +784,5 @@ def smith_normal_form(m, want_transforms=False):
         for a, i in enumerate(rkeys):
             for j, v in residual[i].items():
                 dense[a][cmap[j]] = v
-        factors.extend(_snf_core(dense))
+        factors.extend(_snf_dense(dense, len(ckeys)))
     return SmithForm(tuple(factors), len(factors))

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from hochschild.algebra import catalog, conjugate_algebra, detect_splitting
+from hochschild.algebra import (catalog, conjugate_algebra, detect_splitting,
+                                regular_bimodule, verify_subalgebra)
 from hochschild.cohomology import (CohomologyResult, DegreeOutOfRange,
                                    cohomology_of, compute_cohomology,
                                    pick_method)
-from hochschild.complexes import bar_complex, jn_periodic_complex
+from hochschild.complexes import (bar_complex, cibils_complex,
+                                  jn_periodic_complex)
 from hochschild.exactla import GF, QQ, ZZ, Mat, rank
 
 from _tabledata import ALL_NAMES, field_dims, z_data
@@ -181,3 +183,54 @@ def test_torsion_is_sorted_divisibility_chain():
             assert all(t > 1 for t in tors)
             assert all(tors[i + 1] % tors[i] == 0
                        for i in range(len(tors) - 1))
+
+
+# ---------------------------------------------------------------------------
+# Gerstenhaber-Schack: HH^*(I(P), I(P)) is the cohomology of the order
+# complex of P, for the incidence algebra I(P) of a finite poset
+
+def _face_poset(facets):
+    """(n, relations x <= y) of the nonempty faces of a simplicial complex."""
+    faces = sorted({frozenset(s) for f in facets for k in range(1, len(f) + 1)
+                    for s in itertools.combinations(f, k)},
+                   key=lambda s: (len(s), sorted(s)))
+    return len(faces), [(x, y) for x, a in enumerate(faces)
+                        for y, b in enumerate(faces) if a <= b]
+
+
+def _incidence_hh(poset, dom, build=cibils_complex, top_degree=4):
+    n, leq = poset
+    A = verify_subalgebra(n, dom, [Mat(n, n, dom, {xy: 1}) for xy in leq])
+    cx = build(A, M=regular_bimodule(A)[0], top_degree=top_degree)
+    r = compute_cohomology(cx, range(3))
+    if dom == ZZ:
+        return tuple(zip(r.free_ranks(), r.torsions()))
+    return r.dims()
+
+
+# minimal points 0, 1 below maximal points 2, 3: the order complex is a circle
+CROWN = (4, [(x, x) for x in range(4)] + [(a, b) for a in (0, 1)
+                                          for b in (2, 3)])
+SPHERE = _face_poset([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+RP2 = _face_poset([tuple(map(int, t)) for t in
+                   "124 126 135 136 145 234 235 256 346 456".split()])
+
+
+def test_gerstenhaber_schack_crown():
+    assert _incidence_hh(CROWN, QQ) == (1, 1, 0)
+    assert _incidence_hh(CROWN, GF(2)) == (1, 1, 0)
+    assert _incidence_hh(CROWN, ZZ) == ((1, ()), (1, ()), (0, ()))
+    assert _incidence_hh(CROWN, QQ, bar_complex, top_degree=3) == (1, 1, 0)
+
+
+def test_gerstenhaber_schack_sphere():
+    assert SPHERE[0] == 14
+    assert _incidence_hh(SPHERE, ZZ) == ((1, ()), (0, ()), (1, ()))
+
+
+def test_gerstenhaber_schack_projective_plane():
+    n, leq = RP2
+    assert (n, len(leq)) == (31, 121)
+    assert _incidence_hh(RP2, ZZ) == ((1, ()), (0, ()), (0, (2,)))
+    assert _incidence_hh(RP2, GF(2)) == (1, 1, 1)
+    assert _incidence_hh(RP2, QQ) == (1, 0, 0)

@@ -1,10 +1,13 @@
 """Cochain complexes: ranks, differentials, budgets, cup products."""
 
+import copy
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from hochschild import complexes
 from hochschild.algebra import (AlgebraError, Bimodule, catalog,
                                 detect_splitting, ideal_quotient_bimodule,
                                 quotient_bimodule, regular_bimodule,
@@ -168,6 +171,67 @@ def test_size_budget():
         bar_complex(A, top_degree=5, budget=100)
     # reduced complex of the same algebra in the same budget is fine
     reduced_bar_complex(A, top_degree=5, budget=2000)
+    # ranks come from word counts, so refusals walk no words: building the
+    # labels alone would take millions of words here
+    S11 = catalog("S11", QQ)
+    with pytest.raises(SizeBudgetExceeded,
+                       match=r"^cibils complex needs a cochain space of rank "
+                             r"2692538 > budget 2000000$"):
+        cibils_complex(S11, top_degree=29)
+    with pytest.raises(SizeBudgetExceeded,
+                       match=r"^bar complex needs a cochain space of rank "
+                             r"4882812500 > budget 2000000$"):
+        bar_complex(S11, top_degree=13)
+    # M_n / A = 0 for full matrix algebras, so no word has coordinates and
+    # none is walked (8^7 and 3^12 words of top length)
+    M3 = catalog("M3", QQ).with_unit_first()
+    M3_quotient = quotient_bimodule(M3)
+    tracemalloc.start()
+    try:
+        cx = reduced_bar_complex(M3, M=M3_quotient, top_degree=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cx.ranks == (0,) * 8 and cx.labels == ((),) * 8
+    assert peak < 2 ** 20
+    assert reduced_bar_complex(catalog("M2", QQ),
+                               top_degree=12).ranks == (0,) * 13
+
+
+@pytest.mark.parametrize("build, name, top", [
+    (bar_complex, "S11", 6), (reduced_bar_complex, "S10", 7),
+    (cibils_complex, "S11", 20)], ids=["bar", "reduced", "cibils"])
+def test_budget_is_checked_before_any_word(monkeypatch, build, name, top):
+    # the full complex holds 10^4 to 10^5 words; none exists at the check
+    class Checked(Exception):
+        pass
+
+    def check(ranks, budget, tag):
+        raise Checked(ranks)
+
+    A = catalog(name, QQ)
+    if build is reduced_bar_complex:
+        A = A.with_unit_first()
+    M = quotient_bimodule(A)
+    monkeypatch.setattr(complexes, "_check_budget", check)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Checked) as checked:
+            build(A, M=M, top_degree=top)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(checked.value.args[0]) > 10 ** 4
+    assert peak < 2 ** 18
+
+
+@pytest.mark.parametrize("name", ["S6", "S11", "N3", "B3", "S14", "N2xD1"])
+def test_ranks_count_the_labels(name):
+    # ranks are counted before any word is built; the labels enumerate them
+    for build in BUILDERS:
+        cx = build(catalog(name, QQ), top_degree=4)
+        assert cx.ranks == tuple(len(lab) for lab in cx.labels)
+        assert all(len(set(lab)) == len(lab) for lab in cx.labels)
 
 
 def test_reduced_needs_unit_first_basis():
@@ -193,6 +257,25 @@ def test_cibils_rejects_unadapted_bimodule():
     bad = Bimodule(A, ("mix1", "mix2"), left, right, name="mixed")
     with pytest.raises(AlgebraError):
         cibils_complex(A, M=bad, top_degree=2)
+
+
+def test_cibils_rejects_inconsistent_splitting():
+    A = catalog("S11", QQ)
+    sp = detect_splitting(A)
+    flipped = copy.copy(sp)
+    flipped.bigrading = tuple((u, t) for t, u in sp.bigrading)
+    off_block = copy.copy(sp)
+    off_block.radical_products = {**sp.radical_products,
+                                  (0, 0): (1,) * len(sp.radical)}
+    # S14's radical letters multiply to zero, so only their action can
+    # show that letter 0 does not start in block 1
+    A14 = catalog("S14", QQ)
+    moved = copy.copy(detect_splitting(A14))
+    assert moved.bigrading[0] == (0, 2)
+    moved.bigrading = ((1, 2),) + moved.bigrading[1:]
+    for alg, bad in ((A, flipped), (A, off_block), (A14, moved)):
+        with pytest.raises(AlgebraError, match="splitting data is inconsistent"):
+            cibils_complex(alg, splitting=bad, top_degree=3)
 
 
 def test_degree_overflow():

@@ -181,7 +181,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     diffs = []
     words = [(k,) for k in letters if grading[k][0] in live]
     rowoff = {}
-    # every key of a differential shares these index objects
+    # keys share these int objects, so a stored entry costs one tuple
     row_ints = list(range(ranks[0]))
     for p in range(top_degree):
         if p:

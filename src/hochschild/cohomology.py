@@ -1,24 +1,18 @@
 """Cohomology extraction: H^p = ker d^p / im d^{p-1} from a cochain complex.
 
-Over a field the answer per degree is a dimension, computed from two
-differential ranks.  Over the integers each differential gets one Smith
-normal form, and both numbers come from it: the rank of d^q is its number
-of invariant factors, so the free rank of H^p is
-ranks[p] - rank d^p - rank d^{p-1}, and since kernels of integer matrices
-are saturated, the nonunit invariant factors of d^{p-1} are exactly the
-torsion invariants of H^p.
-
-Rational dimensions use a certificate shortcut when the matrices are
-integral: ranks can only drop under reduction mod a prime, so a vanishing
-mod-p upper bound for dim H^p proves the rational dimension is zero
-without exact elimination.  Nonzero dimensions always fall back to exact
-fraction-free elimination.
+Over a field (Q or F_p) the answer per degree is a dimension, computed
+from two differential ranks; each differential is ranked once.  Over the
+integers each differential gets one Smith normal form, and both numbers
+come from it: the rank of d^q is its number of invariant factors, so the
+free rank of H^p is ranks[p] - rank d^p - rank d^{p-1}, and since kernels
+of integer matrices are saturated, the nonunit invariant factors of
+d^{p-1} are exactly the torsion invariants of H^p.
 """
 
 from .algebra import NotSplit, detect_splitting, quotient_bimodule
 from .complexes import (DEFAULT_SIZE_BUDGET, bar_complex, cibils_complex,
                         jn_periodic_complex, reduced_bar_complex)
-from .exactla import GF, QQ, ZZ, rank, smith_normal_form
+from .exactla import ZZ, rank, smith_normal_form
 
 
 class DegreeOutOfRange(ValueError):
@@ -82,10 +76,6 @@ def _normalize_degrees(cx, degrees):
     return degs
 
 
-def _all_integer(mat):
-    return all(v.denominator == 1 for v in mat._d.values())
-
-
 def _per_differential(diffs, fn, below):
     """q -> fn(diffs[q]), computed once per q; `below` for q = -1."""
     cache = {-1: below}
@@ -97,35 +87,13 @@ def _per_differential(diffs, fn, below):
     return get
 
 
-def _rational_dims(cx, degs):
-    diffs = cx.diffs
-    certificates = all(_all_integer(diffs[q])
-                       for p in degs for q in (p - 1, p) if q >= 0)
-    mod_rank = {pp: _per_differential(
-        diffs, lambda d, pp=pp: rank(d.change_domain(GF(pp))), 0)
-        for pp in (2, 3)}
-    exact_rank = _per_differential(diffs, rank, 0)
-
-    def dim(p):
-        if certificates:
-            for pp in (2, 3):
-                rk = mod_rank[pp]
-                if cx.ranks[p] - rk(p) - rk(p - 1) == 0:
-                    return 0
-        return cx.ranks[p] - exact_rank(p) - exact_rank(p - 1)
-    return {p: dim(p) for p in degs}
-
-
 def compute_cohomology(cx, degrees=None):
     """CohomologyResult for the requested degrees (default 0..D-1)."""
     if degrees is None:
         degrees = range(cx.top_degree)
     degs = _normalize_degrees(cx, degrees)
     dom = cx.domain
-    if dom == QQ:
-        dims = _rational_dims(cx, degs)
-        records = [{"degree": p, "dim": dims[p]} for p in degs]
-    elif isinstance(dom, GF):
+    if dom.is_field:
         rk = _per_differential(cx.diffs, rank, 0)
         records = [{"degree": p,
                     "dim": cx.ranks[p] - rk(p) - rk(p - 1)} for p in degs]

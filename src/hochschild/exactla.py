@@ -24,10 +24,11 @@ solve) sweep pivot columns left to right taking the smallest usable row
 index.  rank and the sparse phase of smith_normal_form share one
 eliminator: the pivot row is the shortest eligible row, ties broken by
 index, popped from a lazy min-heap instead of found by a scan.  Within that
-row, rank over F_p takes the first column, rank over Q the entry of least
-magnitude, and Smith the +-1 entry whose column is shortest; rows without a
-unit are left to a small dense Smith form.  Pivot order affects speed only,
-never the answer.
+row the pivot is the eligible entry whose column is shortest, where
+eligible means +-1 over Z and in the first phase of rank over Q, and any
+nonzero entry over F_p.  Rows left without a unit take the entry of least
+magnitude in the second phase of rank over Q, and go to a small dense
+Smith form over Z.  Pivot order affects speed only, never the answer.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
@@ -506,22 +507,22 @@ def _update_fraction_free(prow, pj, trow):
         _axpy({j: pv * v for j, v in trow.items()}, trow[pj], prow))
 
 
-def _choose_first_column(row, col_index):
-    return min(row)
-
-
 def _update_mod(p):
     def update(prow, pj, trow):
         return _axpy(trow, trow[pj] * pow(prow[pj], p - 2, p) % p, prow, p)
     return update
 
 
+def _choose_short_column(cols, col_index):
+    # the column that is shortest, then smallest; over F_p every nonzero
+    # entry is a unit, so every column of the row is eligible
+    return min(cols, key=lambda j: (len(col_index[j]), j))
+
+
 def _choose_unit(row, col_index):
-    # the +-1 entry whose column is shortest, then smallest column
+    # the +-1 entry whose column is shortest
     units = [j for j, v in row.items() if v == 1 or v == -1]
-    if not units:
-        return None
-    return min(units, key=lambda j: (len(col_index[j]), j))
+    return _choose_short_column(units, col_index) if units else None
 
 
 def _update_unit(prow, pj, trow):
@@ -544,10 +545,13 @@ def rank(m):
     # rows run along the smaller dimension
     rows = _sparse_rows(m, by_cols=m.rows < m.cols)
     if isinstance(m.domain, GF):
-        return _eliminate(rows, _choose_first_column,
+        return _eliminate(rows, _choose_short_column,
                           _update_mod(m.domain.p))[0]
-    return _eliminate(_int_rows(rows), _choose_smallest_entry,
-                      _update_fraction_free)[0]
+    # over Q the +-1 pivots go first, as in the Smith form; the rows left
+    # have no unit entry and take the fraction-free rule
+    ones, residual = _eliminate(_int_rows(rows), _choose_unit, _update_unit)
+    return ones + _eliminate(residual, _choose_smallest_entry,
+                             _update_fraction_free)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,21 @@ def test_universal_coefficients(case, p):
         assert rf[d]["dim"] == rz[d]["free_rank"] + t_here + t_next
 
 
+def test_q_ranks_each_differential_once_never_mod_p(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)  # the matrix is kept, so its id stays its own
+        return rank(m)
+    monkeypatch.setattr("hochschild.cohomology.rank", counted)
+    cohomology_of(catalog("S11", QQ), method="reduced", degrees=range(5))
+    # the first row of `table --degree 3 --ring Q`, as cmd_table computes it
+    cohomology_of(catalog("M3", QQ), degrees=range(5))
+    assert calls
+    assert all(m.domain == QQ for m in calls)
+    assert len({id(m) for m in calls}) == len(calls)
+
+
 def test_rational_dims_equal_integer_free_ranks():
     for name in ("N2", "J3", "N3", "S6", "S11"):
         rq = cohomology_of(catalog(name, QQ), degrees=range(5)).dims()

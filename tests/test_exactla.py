@@ -293,6 +293,72 @@ def test_mixed_rational_matrices_match_sympy():
             assert solve(m, rhs) == tuple(_from_sympy(x) for x in sol), rows
 
 
+# rank over Q past the unit phase: every row below has gcd 1 and no +-1
+# entry, so the unit phase takes nothing and the whole rank comes from the
+# fraction-free residual phase.  sympy.Matrix.rank did not finish a 44 x 40
+# case within two minutes, so the oracle is sympy's DomainMatrix rank.
+
+_NO_UNIT = (2, -2, 3, -3, 4, -4, 6, -6)
+
+
+def _sympy_rank(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in rows]).to_DM().rank()
+
+
+def _no_unit_row(rng, c, cols):
+    """Entries in {0, +-2, +-3, +-4, +-6} on cols, with a 2 and a 3."""
+    row = [0] * c
+    for j in cols:
+        if rng.random() < 0.5:
+            row[j] = rng.choice(_NO_UNIT)
+    a, b = rng.sample(cols, 2)
+    row[a], row[b] = rng.choice((2, -2)), rng.choice((3, -3))
+    return row
+
+
+def _no_unit_rows(rng, r, c):
+    """r x c rows without units, some of them dependent: a multiple of a
+    row, and the sum of two rows on disjoint columns.  With r >= c, rank
+    eliminates along these rows."""
+    left, right = list(range(c // 2)), list(range(c // 2, c))
+    rows = []
+    while len(rows) < r:
+        kind = rng.randrange(3)
+        if kind == 0:
+            a = _no_unit_row(rng, c, left + right)
+            rows += [a, [rng.choice((2, -3)) * v for v in a]]
+        elif kind == 1:
+            a, b = _no_unit_row(rng, c, left), _no_unit_row(rng, c, right)
+            rows += [a, b, [x + y for x, y in zip(a, b)]]
+        else:
+            rows.append(_no_unit_row(rng, c, left + right))
+    rows = rows[:r]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("r,c", [(9, 9), (12, 9), (20, 16), (44, 40)])
+def test_rank_residual_phase_matches_sympy(r, c):
+    rng = random.Random(r * 100 + c)
+    for _ in range(3):
+        rows = _no_unit_rows(rng, r, c)
+        assert rank(_mat(rows, QQ)) == _sympy_rank(rows), rows
+        # a block the unit phase clears, stacked over the unit-free block
+        units = _random_int_rows(rng, rng.randint(1, c // 2), c)
+        for row in units:
+            row[rng.randrange(c)] = rng.choice((1, -1))
+        stacked = units + rows
+        assert rank(_mat(stacked, QQ)) == _sympy_rank(stacked), stacked
+        # rows and columns scaled by 1, 1/5 or 1/7: every row stays free
+        # of units once _int_rows clears its denominators
+        rs = [Fraction(1, rng.choice((1, 5, 7))) for _ in range(r)]
+        cs = [Fraction(1, rng.choice((1, 5, 7))) for _ in range(c)]
+        scaled = [[v * a * b for v, b in zip(row, cs)]
+                  for row, a in zip(rows, rs)]
+        assert rank(_mat(scaled, QQ)) == _sympy_rank(scaled), scaled
+
+
 def test_modular_rank_matches_sympy_factors():
     # rank over F_p of an integer matrix = number of invariant factors
     # not divisible by p
@@ -318,11 +384,12 @@ def test_snf_factors_match_sympy():
 
 
 # ---------------------------------------------------------------------------
-# F_2/F_3 rank of mid-sized sparse matrices (the sizes at which a bit-packed
-# route once took over) against rank-nullity through the dense RREF kernel
+# F_2/F_3 rank of mid-sized sparse matrices against rank-nullity through the
+# dense RREF kernel, and against the rank of the transpose; this guards the
+# shortest-column pivot rule over F_p
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_bitset_rank_agreement(p):
+def test_modular_rank_nullity_and_transpose_sparse(p):
     rng = random.Random(40 + p)
     for _ in range(6):
         r, c = rng.randint(130, 180), rng.randint(130, 180)

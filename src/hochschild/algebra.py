@@ -25,13 +25,15 @@ projection: a E_ij = sum_r a[r,i] E_rj and E_ij a = sum_c a[j,c] E_ic, so
 each action column is a sum of projection columns over the nonzeros of a.
 
 plus `detect_splitting`, which finds the idempotent/radical decomposition
-feeding the small complex of `complexes.cibils_complex`, and a catalog of
+feeding the small complex of `complexes.cibils_complex`, `morita_corner`,
+the basic corner eAe of an algebra that does not split, and a catalog of
 the named subalgebras of M_2 and M_3 together with the classical families
 (full, upper triangular, diagonal, scalar, block parabolic, truncated
 polynomial).
 """
 
-from .exactla import Echelon, Mat, NoSolution, QQ, ZZ, smith_normal_form
+from .exactla import (Echelon, Mat, NoSolution, QQ, ZZ, kernel_basis,
+                      smith_normal_form)
 
 
 class AlgebraError(ValueError):
@@ -618,6 +620,57 @@ def validate_splitting(A, idempotent_mats, radical_mats):
         if sub.member_coords(b) is NoSolution:
             raise NotSplit("splitting does not span the algebra")
     return detect_splitting(sub)
+
+
+def morita_corner(A):
+    """The corner eAe ⊆ M_k of A, e summing one block per Morita class.
+
+    The diagonal matrices in A are spanned by the indicators f_s of blocks
+    of rows.  Block s joins an earlier representative r when f_s lies in
+    the span of (f_s A f_r)(f_r A f_s), integrally over Z: at most d^2
+    products in all.  Then 1 = sum f_s lies in AeA, so H^*(A, M_n/A) =
+    H^*(eAe, eM_ne/eAe).  Raises NotSplit when e = 1, and any
+    AlgebraError of validating eAe.
+    """
+    n, dom = A.n, A.domain
+    # diag(x) lies in A when sum x_i (E_ii reduced modulo A) = 0
+    kern = kernel_basis(Mat(n * n, n, QQ if dom == ZZ else dom, {
+        (t, i): v for i in range(n)
+        for t, v in A._span._reduce({i * (n + 1): 1})[0].items()}))
+    rows_of = {}
+    for i in range(n):
+        rows_of.setdefault(tuple(v[i] for v in kern), []).append(i)
+    blocks = sorted(rows_of.values())
+    block = {i: s for s, rows in enumerate(blocks) for i in rows}
+    spans, pieces = {}, {}  # (s, t) -> a basis of f_s A f_t
+    for a in A.basis:
+        parts = {}
+        for (i, j), v in a._d.items():
+            parts.setdefault((block[i], block[j]), {})[(i, j)] = v
+        for st, ent in parts.items():
+            x = Mat(n, n, dom, ent)
+            if spans.setdefault(st, _span_echelon([], dom)).add(_flat(x)):
+                pieces.setdefault(st, []).append(x)
+
+    def linked(s, r):
+        span = _span_echelon([x.mul(y) for x in pieces.get((s, r), ())
+                              for y in pieces.get((r, s), ())], dom)
+        f = Mat(n, n, dom, {(i, i): 1 for i in blocks[s]})
+        return _coords_in(span, dom, f) is not NoSolution
+
+    reps = []
+    for s in range(len(blocks)):
+        if not any(linked(s, r) for r in reps):
+            reps.append(s)
+    if len(reps) == len(blocks):
+        raise NotSplit("no diagonal idempotent e != 1 has AeA = A")
+    at = {i: k for k, i in enumerate(sorted(i for r in reps
+                                            for i in blocks[r]))}
+    return verify_subalgebra(len(at), dom, [
+        Mat(len(at), len(at), dom, {(at[i], at[j]): v
+                                    for (i, j), v in x._d.items()})
+        for s in reps for t in reps for x in pieces.get((s, t), ())],
+        name="corner of %s" % (A.name or "A"))
 
 
 # ---------------------------------------------------------------------------

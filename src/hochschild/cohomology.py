@@ -7,9 +7,15 @@ come from it: the rank of d^q is its number of invariant factors, so the
 free rank of H^p is ranks[p] - rank d^p - rank d^{p-1}, and since kernels
 of integer matrices are saturated, the nonunit invariant factors of
 d^{p-1} are exactly the torsion invariants of H^p.
+
+The cibils complex runs on A when A splits, and otherwise on a basic
+corner eAe with AeA = A (`algebra.morita_corner`): Hochschild cohomology
+is Morita invariant, H^*(A, M) = H^*(eAe, eMe) (Loday, Cyclic Homology,
+1.2), and e(M_n/A)e is the canonical quotient of the corner.
 """
 
-from .algebra import NotSplit, detect_splitting, quotient_bimodule
+from .algebra import (AlgebraError, NotSplit, detect_splitting, morita_corner,
+                      quotient_bimodule)
 from .complexes import (DEFAULT_SIZE_BUDGET, bar_complex, cibils_complex,
                         jn_periodic_complex, reduced_bar_complex)
 from .exactla import ZZ, rank, smith_normal_form
@@ -110,13 +116,26 @@ def compute_cohomology(cx, degrees=None):
     return CohomologyResult(dom, cx.method_tag, records)
 
 
+def _cibils_target(A):
+    """(A or its basic corner eAe, its splitting), or A's NotSplit."""
+    try:
+        return A, detect_splitting(A)
+    except NotSplit as refusal:
+        try:
+            B = morita_corner(A)
+            return B, detect_splitting(B)
+        except AlgebraError:
+            raise refusal from None
+
+
 def pick_method(A):
-    """The automatic method choice: jn > cibils > reduced."""
+    """(method, cibils target or None): jn > cibils on A or on its basic
+    corner > reduced."""
     fam = A.meta.get("family")
     if fam and fam[0] == "J":
         return "jn", None
     try:
-        return "cibils", detect_splitting(A)
+        return "cibils", _cibils_target(A)
     except NotSplit:
         return "reduced", None
 
@@ -133,10 +152,10 @@ def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
     need_top = degs[-1] + 1
     if top_degree is not None:
         need_top = max(need_top, top_degree)
-    sp = splitting
+    target = (A, splitting) if splitting is not None else None
     if method == "auto":
-        method, auto_sp = pick_method(A)
-        sp = sp if sp is not None else auto_sp
+        method, auto_target = pick_method(A)
+        target = target or auto_target
     if method == "jn":
         fam = A.meta.get("family")
         if not fam or fam[0] != "J":
@@ -146,9 +165,8 @@ def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
         cx = jn_periodic_complex(fam[1], A.domain, top_degree=need_top,
                                  budget=budget)
     elif method == "cibils":
-        if sp is None:
-            sp = detect_splitting(A)
-        cx = cibils_complex(A, splitting=sp, M=quotient_bimodule(A),
+        B, sp = target or _cibils_target(A)
+        cx = cibils_complex(B, splitting=sp, M=quotient_bimodule(B),
                             top_degree=need_top, budget=budget)
     elif method == "reduced":
         A1 = A.with_unit_first()

@@ -103,12 +103,23 @@ def test_criterion_05_method_agreement():
                                         degrees=range(4)).dims()
             dims["reduced"] = cohomology_of(A, method="reduced",
                                             degrees=range(4)).dims()
-            if name not in NOT_SPLITTABLE:
-                dims["cibils"] = cohomology_of(A, method="cibils",
-                                               degrees=range(4)).dims()
+            dims["cibils"] = cohomology_of(A, method="cibils",
+                                           degrees=range(4)).dims()
             assert len(set(dims.values())) == 1, (name, dom, dims)
-    _ok(5, "bar = reduced (= cibils where splittable) on all 31 entries "
-        "over Q and F2, degrees 0..3")
+    # the non-basic entries take cibils on a basic corner eAe
+    for name in sorted(NOT_SPLITTABLE) + ["P22", "P211"]:
+        for dom in (QQ, GF(2), ZZ):
+            A = catalog(name, dom)
+            got = {}
+            for m in ("auto", "cibils", "reduced"):
+                r = cohomology_of(A, method=m, degrees=range(4))
+                got[m] = (r.dims() if dom.is_field
+                          else (r.free_ranks(), r.torsions()))
+                assert m != "auto" or r.method_tag == "cibils", (name, dom)
+            assert len(set(got.values())) == 1, (name, dom, got)
+    _ok(5, "bar = reduced = cibils (on A or its basic corner) on all 31 "
+        "entries over Q and F2, and corner = reduced on the 5 non-basic "
+        "entries, P22 and P211 over Q, F2 and Z, degrees 0..3")
 
 
 def test_criterion_06_normalizer_h0_law():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from hochschild import cli
-from hochschild.algebra import AlgebraError, catalog
+from hochschild.algebra import AlgebraError, catalog, conjugate_algebra
 from hochschild.cli import (UsageError, algebra_from_dict, algebra_to_dict,
                             main, parse_ring)
 from hochschild.exactla import GF, QQ, ZZ
@@ -273,10 +273,39 @@ def test_exit_code_jn_off_family(capsys):
     assert rc == 2
 
 
-def test_exit_code_cibils_unsplittable(capsys):
-    rc, _, err = run(capsys, "compute", "--algebra", "M2",
+def test_exit_code_cibils_unsplittable(tmp_path, capsys):
+    # B2 conjugated by [[1,0],[1,1]] holds no diagonal idempotent but 0 and
+    # 1, so neither it nor a proper corner splits
+    conj = conjugate_algebra(catalog("B2", ZZ), [[1, 0], [1, 1]])
+    path = write_algebra(tmp_path, algebra_to_dict(conj))
+    rc, _, err = run(capsys, "compute", "--file", path, "--method", "cibils")
+    assert rc == 3 and "not a 0/1 matrix" in err
+    rc, out, _ = run(capsys, "compute", "--file", path, "--ring", "Z")
+    assert rc == 0 and json.loads(out)["method"] == "reduced"
+
+
+def test_compute_m2_cibils_takes_the_corner(capsys):
+    rc, out, _ = run(capsys, "compute", "--algebra", "M2",
                      "--method", "cibils")
-    assert rc == 3
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["method"] == "cibils"
+    assert [r["dim"] for r in doc["H"]] == [0] * 5
+
+
+def test_compute_p33_moduli_within_budget(capsys):
+    # the reduced complex of P33 exceeds the default budget at degree 3;
+    # its basic corner B2 does not
+    rc, out, _ = run(capsys, "compute", "--algebra", "P33", "--ring", "Q",
+                     "--max-degree", "3", "--moduli")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["method"] == "cibils"
+    assert [r["dim"] for r in doc["H"]] == [0] * 4
+    assert doc["moduli"]["normalizer_dim"] == doc["d"]
+    rc, _, err = run(capsys, "compute", "--algebra", "P33", "--ring", "Q",
+                     "--max-degree", "3", "--method", "reduced")
+    assert rc == 4 and "budget" in err
 
 
 def test_exit_code_missing_file(capsys):

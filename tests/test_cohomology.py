@@ -5,7 +5,10 @@ import random
 
 import pytest
 
-from hochschild.algebra import (catalog, conjugate_algebra, detect_splitting,
+import hochschild.algebra
+from hochschild.algebra import (NotSplit, catalog, conjugate_algebra,
+                                detect_splitting, direct_product,
+                                morita_corner, quotient_bimodule,
                                 regular_bimodule, verify_subalgebra)
 from hochschild.cohomology import (CohomologyResult, DegreeOutOfRange,
                                    cohomology_of, compute_cohomology,
@@ -49,13 +52,13 @@ def test_auto_method_examples():
     r = cohomology_of(catalog("S11", QQ), degrees=range(5))
     assert r.dims() == (1, 1, 0, 0, 0)
     r = cohomology_of(catalog("P21", QQ), degrees=range(4))
-    assert r.method_tag == "reduced"
+    assert r.method_tag == "cibils"
 
 
 def test_pick_method():
     assert pick_method(catalog("J", QQ, 4))[0] == "jn"
     assert pick_method(catalog("S6", QQ))[0] == "cibils"
-    assert pick_method(catalog("M2", QQ))[0] == "reduced"
+    assert pick_method(catalog("M2", QQ))[0] == "cibils"
 
 
 def test_degree_guards():
@@ -78,6 +81,13 @@ def test_degree_guards():
 # cross-method agreement (representative subset; the acceptance suite
 # runs the full catalog)
 
+def _h(A, method):
+    r = cohomology_of(A, method=method, degrees=range(4))
+    if A.domain.is_field:
+        return r.dims()
+    return r.free_ranks(), r.torsions()
+
+
 @pytest.mark.parametrize("name", ["B2", "N2", "C2", "S6", "S11", "N3",
                                   "S2", "D3"])
 def test_method_agreement(name):
@@ -89,6 +99,104 @@ def test_method_agreement(name):
         if name not in NOT_SPLITTABLE:
             assert cohomology_of(A, method="cibils",
                                  degrees=range(4)).dims() == base
+
+
+# the non-basic algebras take cibils on a basic corner eAe
+@pytest.mark.parametrize("name", ["M2", "M3", "P21", "P12", "M2xD1", "P22",
+                                  "P211"])
+def test_method_agreement_morita_corner(name):
+    for dom in (QQ, GF(2), ZZ):
+        A = catalog(name, dom)
+        method, (B, _) = pick_method(A)
+        assert method == "cibils" and B.n < A.n
+        assert _h(A, "cibils") == _h(A, "auto") == _h(A, "reduced")
+
+
+def _inflate(A):
+    """M_2(A) = M_2 (x) A inside M_2n, on the Kronecker basis E_ij (x) a."""
+    n = A.n
+    return verify_subalgebra(2 * n, A.domain, [
+        Mat(2 * n, 2 * n, A.domain, {(i * n + r, j * n + c): v
+                                     for (r, c), v in a._d.items()})
+        for i in range(2) for j in range(2) for a in A.basis])
+
+
+@pytest.mark.parametrize("name", ["S11", "N2", "N3", "B2", "S6", "P21"])
+def test_morita_inflation(name):
+    # the corner idempotent of M_2(A) is E_11 (x) 1, e.g. diag(1,1,0,0)
+    # for N2: a sum of diagonal units, not a single one
+    for dom in (QQ, GF(2), GF(3), ZZ):
+        A = catalog(name, dom)
+        I = _inflate(A)
+        assert cohomology_of(I, degrees=range(4)).method_tag == "cibils"
+        assert _h(I, "auto") == _h(A, "reduced"), (name, dom)
+    if name == "N2":
+        assert _h(_inflate(catalog("N2", ZZ)), "auto") == (
+            (1, 1, 1, 1), ((), (2,), (), (2,)))
+
+
+def _count_calls(monkeypatch, module, fname):
+    calls = []
+    orig = getattr(module, fname)
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return orig(*args, **kw)
+    monkeypatch.setattr(module, fname, counted)
+    return calls
+
+
+def test_corner_search_is_bounded(monkeypatch):
+    b2 = conjugate_algebra(catalog("B2", ZZ), [[1, 0], [1, 1]])
+    cases = [catalog("M4", ZZ), catalog("P33", ZZ), catalog("P211", QQ),
+             _inflate(catalog("S11", ZZ)), _inflate(catalog("N3", GF(3))),
+             _inflate(b2), b2, direct_product(b2, b2)]
+    for A in cases:
+        quotient_bimodule(A)
+        products = _count_calls(monkeypatch, Mat, "mul")
+        built = _count_calls(monkeypatch, hochschild.algebra,
+                             "verify_subalgebra")
+        try:
+            B = morita_corner(A)
+            assert B.n < A.n and len(built) == 1
+        except NotSplit:
+            assert not built  # e = 1: no corner is built
+        assert len(products) <= A.dim ** 2, (A, len(products))
+        monkeypatch.undo()
+
+
+def test_corner_refusals_fall_back_to_reduced():
+    s11 = catalog("S11", ZZ)
+    g = [[1, 2, 0], [0, 1, 0], [1, 2, 1]]  # unimodular, not 0/1
+    for dom in (QQ, ZZ):
+        C = conjugate_algebra(catalog("S11", dom), g)
+        assert pick_method(C) == ("reduced", None)
+        assert _h(C, "auto") == _h(catalog("S11", dom), "cibils")
+    assert _h(conjugate_algebra(s11, g), "auto") == ((1, 1, 0, 0),
+                                                     ((), (), (), ()))
+    # the corner of M_2(B2 conjugated) is that conjugate, which does not
+    # split: auto falls back to reduced, and cibils is refused
+    I = _inflate(conjugate_algebra(catalog("B2", QQ), [[1, 0], [1, 1]]))
+    assert cohomology_of(I, degrees=range(3)).method_tag == "reduced"
+    with pytest.raises(NotSplit, match="not a 0/1 matrix"):
+        cohomology_of(I, method="cibils", degrees=range(3))
+
+
+def test_corner_needs_integral_generation():
+    # X -> diag(X, g X g^-1) with g = diag(1, 2), saturated in M_4(Z):
+    # over a field with 2 invertible it is M_2 with corner f = E_00 + E_22,
+    # but over Z the products through the other block only give 2f
+    def twisted(dom):
+        return verify_subalgebra(4, dom, [
+            Mat(4, 4, dom, ent) for ent in (
+                {(0, 0): 1, (2, 2): 1}, {(0, 1): 2, (2, 3): 1},
+                {(1, 0): 1, (3, 2): 2}, {(1, 1): 1, (3, 3): 1})])
+    for dom in (QQ, GF(3)):
+        A = twisted(dom)
+        assert morita_corner(A).basis == (Mat.identity(2, dom),)
+        assert _h(A, "auto") == _h(A, "reduced") == (3, 0, 0, 0)
+    with pytest.raises(NotSplit):
+        morita_corner(twisted(ZZ))
 
 
 def test_agreement_with_frozen_tables():

@@ -32,7 +32,8 @@ the named subalgebras of M_2 and M_3 together with the classical families
 polynomial).
 """
 
-from .exactla import (Echelon, Mat, NoSolution, QQ, ZZ, kernel_basis,
+from .exactla import (Echelon, Mat, NoSolution, QQ, ZZ, _choose_unit,
+                      _eliminate, _update_unit, kernel_basis,
                       smith_normal_form)
 
 
@@ -80,7 +81,7 @@ class NotClosed(AlgebraError):
 def _flat(m):
     """Row-major flattening of an n x n matrix: {i * n + j: entry}."""
     n = m.cols
-    return {i * n + j: v for (i, j), v in m._d.items()}
+    return {i * n + j: v for (i, j), v in m.items()}
 
 
 def _span_echelon(mats, domain):
@@ -134,6 +135,7 @@ class Algebra:
         self.meta = dict(meta or {})
         self._span = span         # echelon form of the basis
         self._quotient = None     # quotient_bimodule(self), once built
+        self._split = None        # (re-basing, splitting), validate_splitting
 
     def member_coords(self, m):
         """Coordinates of a matrix in the basis, or NoSolution."""
@@ -187,7 +189,7 @@ def _unimodular_with_first_row(r):
 def _integer_inverse(m):
     inv = mat_inverse(m.change_domain(QQ))
     ent = {}
-    for (i, j), v in inv._d.items():
+    for (i, j), v in inv.items():
         if v.denominator != 1:
             raise NotInvertible("matrix is not unimodular")
         ent[(i, j)] = int(v)
@@ -305,18 +307,27 @@ class Bimodule:
 
 
 def quotient_bimodule(A):
-    """M_n / A with basis chosen by a row-major greedy scan of matrix units.
-
-    Built once per algebra and kept on it; every caller shares the result.
+    """M_n / A with basis chosen by a row-major greedy scan of matrix units,
+    or over Z, if those miss the quotient lattice, by leaving out the pivot
+    positions of the +-1 elimination of A's basis (triangular +-1 pivots
+    make G unimodular).  Built once per algebra and kept on it.
     """
     if A._quotient is None:
         n = A.n
+        name = "M%d/%s" % (n, A.name or "A")
         span = _span_echelon(A.basis, A.domain)
         kept = [(i, j) for i in range(n) for j in range(n)
                 if span.add({i * n + j: 1})]
         assert len(kept) == n * n - A.dim
-        A._quotient = _bimodule_from_units(
-            A, kept, name="M%d/%s" % (n, A.name or "A"))
+        try:
+            A._quotient = _bimodule_from_units(A, kept, name)
+        except NotSaturated:
+            P = set(_eliminate({k: _flat(b) for k, b in enumerate(A.basis)},
+                               _choose_unit, _update_unit)[0])
+            if len(P) < A.dim:
+                raise
+            A._quotient = _bimodule_from_units(
+                A, [divmod(t, n) for t in range(n * n) if t not in P], name)
     return A._quotient
 
 
@@ -339,13 +350,13 @@ def _bimodule_from_units(A, kept, name):
     ginv = mat_inverse(Mat(d, d, fdom, {(k, s): span.entry(k, t)
                                         for k in range(d)
                                         for s, t in enumerate(P)}))
-    if dom == ZZ and any(v.denominator != 1 for v in ginv._d.values()):
+    if dom == ZZ and any(v.denominator != 1 for _, v in ginv.items()):
         raise NotSaturated("unit classes do not span the quotient lattice")
     # pcols[t]: column t of proj as [(row, value)]
     pcols = [[] for _ in range(n * n)]
     for t, q in pos.items():
         pcols[t].append((q, dom.one()))
-    for (i, t), v in ginv.mul(span)._d.items():
+    for (i, t), v in ginv.mul(span).items():
         if t in pos:
             pcols[P[i]].append((pos[t], dom.normalize(-v)))
     m = len(kept)
@@ -354,7 +365,7 @@ def _bimodule_from_units(A, kept, name):
     left, right = [], []
     for a in A.basis:
         acols, arows = {}, {}
-        for (r, c), v in a._d.items():
+        for (r, c), v in a.items():
             acols.setdefault(c, []).append((r, v))
             arows.setdefault(r, []).append((c, v))
         lent, rent = {}, {}
@@ -507,7 +518,7 @@ class Splitting:
 def _is_zero_one(A, m):
     dom = A.domain
     one = dom.one()
-    return all(v == one for v in m._d.values())
+    return all(v == one for _, v in m.items())
 
 
 def detect_splitting(A):
@@ -525,7 +536,7 @@ def detect_splitting(A):
     for k, b in enumerate(A.basis):
         if not _is_zero_one(A, b):
             raise NotSplit("basis entry %d is not a 0/1 matrix" % (k + 1))
-        positions = set(b._d.keys())
+        positions = {ij for ij, _ in b.items()}
         if not positions:
             raise NotSplit("zero basis matrix")
         on_diag = {p for p in positions if p[0] == p[1]}
@@ -543,7 +554,7 @@ def detect_splitting(A):
     blocks = []
     idempotents = []
     for t, (k, b) in enumerate(diag):
-        rows = sorted(i for (i, _) in b._d.keys())
+        rows = sorted(i for (i, _), _ in b.items())
         for i in rows:
             if i in covered:
                 raise NotSplit("diagonal supports are not orthogonal")
@@ -555,7 +566,8 @@ def detect_splitting(A):
     block_of_row = tuple(covered[i] for i in range(n))
     bigrading = []
     for x in offd:
-        grades = {(block_of_row[i], block_of_row[j]) for (i, j) in x._d.keys()}
+        grades = {(block_of_row[i], block_of_row[j])
+                  for (i, j), _ in x.items()}
         if len(grades) != 1:
             raise NotSplit("radical basis element is not bigraded")
         bigrading.append(grades.pop())
@@ -596,7 +608,8 @@ def detect_splitting(A):
 
 
 def validate_splitting(A, idempotent_mats, radical_mats):
-    """Validate externally supplied splitting data against A (or NotSplit)."""
+    """Validate externally supplied splitting data against A (or NotSplit);
+    the split re-basing of A it builds is kept on A for the cibils method."""
     n, dom = A.n, A.domain
     idem = _coerce_basis(n, dom, idempotent_mats)
     rad = _coerce_basis(n, dom, radical_mats)
@@ -619,7 +632,8 @@ def validate_splitting(A, idempotent_mats, radical_mats):
     for b in A.basis:
         if sub.member_coords(b) is NoSolution:
             raise NotSplit("splitting does not span the algebra")
-    return detect_splitting(sub)
+    A._split = sub, detect_splitting(sub)
+    return A._split[1]
 
 
 def morita_corner(A):
@@ -645,7 +659,7 @@ def morita_corner(A):
     spans, pieces = {}, {}  # (s, t) -> a basis of f_s A f_t
     for a in A.basis:
         parts = {}
-        for (i, j), v in a._d.items():
+        for (i, j), v in a.items():
             parts.setdefault((block[i], block[j]), {})[(i, j)] = v
         for st, ent in parts.items():
             x = Mat(n, n, dom, ent)
@@ -668,7 +682,7 @@ def morita_corner(A):
                                             for i in blocks[r]))}
     return verify_subalgebra(len(at), dom, [
         Mat(len(at), len(at), dom, {(at[i], at[j]): v
-                                    for (i, j), v in x._d.items()})
+                                    for (i, j), v in x.items()})
         for s in reps for t in reps for x in pieces.get((s, t), ())],
         name="corner of %s" % (A.name or "A"))
 
@@ -704,10 +718,10 @@ def direct_product(A, B):
     dom = A.domain
     basis = []
     for a in A.basis:
-        basis.append(Mat(n, n, dom, dict(a._d)))
+        basis.append(Mat(n, n, dom, dict(a.items())))
     for b in B.basis:
         basis.append(Mat(n, n, dom,
-                         {(i + A.n, j + A.n): v for (i, j), v in b._d.items()}))
+                         {(i + A.n, j + A.n): v for (i, j), v in b.items()}))
     name = None
     if A.name and B.name:
         name = "%sx%s" % (A.name, B.name)

@@ -76,11 +76,14 @@ def _parse_scalar(v):
     raise AlgebraError("matrix entries must be integers or 'p/q' strings")
 
 
-def _parse_matrix(rows, n, what):
+def _parse_matrix(rows, n, what, domain):
     if (not isinstance(rows, list) or len(rows) != n
             or any(not isinstance(r, list) or len(r) != n for r in rows)):
         raise AlgebraError("%s must be an %dx%d array" % (what, n, n))
-    return [[_parse_scalar(v) for v in r] for r in rows]
+    try:
+        return [[domain.normalize(_parse_scalar(v)) for v in r] for r in rows]
+    except (ValueError, ZeroDivisionError) as e:
+        raise AlgebraError("%s: %s" % (what, e)) from None
 
 
 def algebra_from_dict(doc, domain):
@@ -97,20 +100,17 @@ def algebra_from_dict(doc, domain):
         raise AlgebraError("n must be a positive integer")
     if not isinstance(basis, list) or not basis:
         raise AlgebraError("basis must be a nonempty array of matrices")
-    mats = [_parse_matrix(b, n, "basis matrix %d" % (k + 1))
+    mats = [_parse_matrix(b, n, "basis matrix %d" % (k + 1), domain)
             for k, b in enumerate(basis)]
-    if domain == ZZ or isinstance(domain, GF):
-        if domain == ZZ and any(v.denominator != 1 for m in mats for r in m
-                                for v in r):
-            raise AlgebraError("basis entries must be integers over Z")
     A = verify_subalgebra(n, domain, mats, name=str(name))
     if "splitting" in doc:
         sp = doc["splitting"]
-        if not isinstance(sp, dict):
-            raise AlgebraError("splitting must be an object")
-        idem = [_parse_matrix(m, n, "idempotent %d" % (k + 1))
+        if not (isinstance(sp, dict) and all(isinstance(
+                sp.get(f, []), list) for f in ("idempotents", "radical"))):
+            raise AlgebraError("splitting must be an object of matrix arrays")
+        idem = [_parse_matrix(m, n, "idempotent %d" % (k + 1), domain)
                 for k, m in enumerate(sp.get("idempotents", []))]
-        rad = [_parse_matrix(m, n, "radical matrix %d" % (k + 1))
+        rad = [_parse_matrix(m, n, "radical matrix %d" % (k + 1), domain)
                for k, m in enumerate(sp.get("radical", []))]
         validate_splitting(A, idem, rad)
     return A
@@ -122,7 +122,7 @@ def load_algebra_file(path, domain):
             doc = json.load(fh)
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e))
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise AlgebraError("%s is not valid JSON: %s" % (path, e))
     return algebra_from_dict(doc, domain)
 

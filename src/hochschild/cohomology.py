@@ -8,10 +8,11 @@ free rank of H^p is ranks[p] - rank d^p - rank d^{p-1}, and since kernels
 of integer matrices are saturated, the nonunit invariant factors of
 d^{p-1} are exactly the torsion invariants of H^p.
 
-The cibils complex runs on A when A splits, and otherwise on a basic
-corner eAe with AeA = A (`algebra.morita_corner`): Hochschild cohomology
-is Morita invariant, H^*(A, M) = H^*(eAe, eMe) (Loday, Cyclic Homology,
-1.2), and e(M_n/A)e is the canonical quotient of the corner.
+The cibils complex runs on a validated splitting supplied with A, else on
+A when A splits, and otherwise on a basic corner eAe with AeA = A
+(`algebra.morita_corner`): Hochschild cohomology is Morita invariant,
+H^*(A, M) = H^*(eAe, eMe) (Loday, Cyclic Homology, 1.2), and e(M_n/A)e is
+the canonical quotient of the corner.
 """
 
 from .algebra import (AlgebraError, NotSplit, detect_splitting, morita_corner,
@@ -117,7 +118,10 @@ def compute_cohomology(cx, degrees=None):
 
 
 def _cibils_target(A):
-    """(A or its basic corner eAe, its splitting), or A's NotSplit."""
+    """(algebra, splitting) for cibils: A's validated split re-basing, else
+    A, else its basic corner eAe; or A's NotSplit."""
+    if A._split is not None:
+        return A._split
     try:
         return A, detect_splitting(A)
     except NotSplit as refusal:
@@ -141,7 +145,7 @@ def pick_method(A):
 
 
 def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
-                  budget=DEFAULT_SIZE_BUDGET, splitting=None):
+                  budget=DEFAULT_SIZE_BUDGET):
     """Cohomology of A with coefficients in the canonical quotient bimodule.
 
     method: auto | bar | reduced | cibils | jn.  Returns a CohomologyResult
@@ -152,10 +156,9 @@ def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
     need_top = degs[-1] + 1
     if top_degree is not None:
         need_top = max(need_top, top_degree)
-    target = (A, splitting) if splitting is not None else None
+    target = None
     if method == "auto":
-        method, auto_target = pick_method(A)
-        target = target or auto_target
+        method, target = pick_method(A)
     if method == "jn":
         fam = A.meta.get("family")
         if not fam or fam[0] != "J":

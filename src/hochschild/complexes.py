@@ -85,13 +85,6 @@ def _check_budget(ranks, budget, tag):
             % (tag, worst, budget))
 
 
-def _columns_of(mat):
-    cols = [[] for _ in range(mat.cols)]
-    for (r, c), v in sorted(mat._d.items()):
-        cols[c].append((r, v))
-    return cols
-
-
 def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                   products=None, comp=None):
     """Word complex of an alphabet of letters of A with coefficients in M.
@@ -136,24 +129,22 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                          for st, c in counts.items()))
     _check_budget(ranks, budget, tag)
 
-    def acting(k, cols, qs, want):
+    def acting(k, mat, qs, want):
         """Letter k's action on the coordinates qs, rows as positions in the
         block `want` they must land in; None where it is zero."""
-        if any(comp[r] != want for q in qs for r, _ in cols[q]):
+        if any(comp[r] != want for q in qs for r in mat.column(q)):
             raise AlgebraError("splitting data is inconsistent: letter %r "
                                "moves a coordinate off block %r" % (k, want))
-        out = {q: [(pos[r], v) for r, v in cols[q]] for q in qs}
+        out = {q: [(pos[r], v) for r, v in mat.column(q).items()] for q in qs}
         return out if any(out.values()) else None
 
     # per block of coordinates, the letters acting on it from either side
-    lcols = {k: _columns_of(M.left[i]) for k, i in letters.items()}
-    rcols = {k: _columns_of(M.right[i]) for k, i in letters.items()}
     lefts, rights = {}, {}
     for (s, t), qs in by_block.items():
         lefts[s, t] = [((k,), a) for k in into.get(s, ()) if (a := acting(
-            k, lcols[k], qs, (grading[k][0], t)))]
+            k, M.left[letters[k]], qs, (grading[k][0], t)))]
         rights[s, t] = [((k,), a) for k in out_of.get(t, ()) if (a := acting(
-            k, rcols[k], qs, (s, grading[k][1])))]
+            k, M.right[letters[k]], qs, (s, grading[k][1])))]
     prodmap = {k: [] for k in letters}
     for (u, v), coords in products.items():
         for k in letters:
@@ -177,12 +168,34 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
             st = grading[w[0]][0], grading[w[-1]][1]
             yield w, base, by_block[st], st
 
+    def raw_columns(p, offsets, rowoff, row_ints):
+        """(column, {row: raw sum of domain values}) for each column of d^p
+        in turn: one (word, coordinate) pair each, normalized by Mat."""
+        sign_last = 1 if (p + 1) % 2 == 0 else -1
+        for w, base, qs, st in column_blocks(p, offsets):
+            # a letter acting on the block leads to a row word that exists
+            sides = [(rowoff[k + w], 1, acts) for k, acts in lefts[st]]
+            sides += [(rowoff[w + k], sign_last, acts)
+                      for k, acts in rights[st]]
+            # an inner product keeps the word's block, so q keeps its row
+            inner = [(rowoff[w[:i] + (u, v) + w[i + 1:]], c if i % 2 else -c)
+                     for i in range(p) for u, v, c in prodmap[w[i]]]
+            for t, q in enumerate(qs):
+                col = {}
+                get = col.get
+                for off, sign, acts in sides:
+                    for r, val in acts[q]:
+                        key = row_ints[off + r]
+                        col[key] = get(key, 0) + sign * val
+                for off, val in inner:
+                    key = row_ints[off + t]
+                    col[key] = get(key, 0) + val
+                yield base + t, col
+
     labels = [tuple(((), q) for q in diag)]
     diffs = []
     words = [(k,) for k in letters if grading[k][0] in live]
     rowoff = {}
-    # keys share these int objects, so a stored entry costs one tuple
-    row_ints = list(range(ranks[0]))
     for p in range(top_degree):
         if p:
             words = [w + (k,) for w in words
@@ -194,37 +207,11 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                 rowoff[w] = len(label)
                 label += zip(repeat(w), qs)
         labels.append(tuple(label))
-        col_ints, row_ints = row_ints, list(range(ranks[p + 1]))
-        # raw sums of domain values, normalized once by Mat
-        entries = {}
-        get = entries.get
-        sign_last = 1 if (p + 1) % 2 == 0 else -1
-        for w, base, qs, st in column_blocks(p, cols):
-            n = len(qs)
-            block = list(zip(col_ints[base:base + n], qs))
-            # a letter acting on the block leads to a row word that exists
-            for k, acts in lefts[st]:
-                off = rowoff[k + w]
-                for col, q in block:
-                    for r, val in acts[q]:
-                        key = (row_ints[off + r], col)
-                        entries[key] = get(key, 0) + val
-            for k, acts in rights[st]:
-                off = rowoff[w + k]
-                for col, q in block:
-                    for r, val in acts[q]:
-                        key = (row_ints[off + r], col)
-                        entries[key] = get(key, 0) + sign_last * val
-            # an inner product keeps the word's block, so q keeps its row
-            for i in range(p):
-                sign = 1 if i % 2 else -1
-                for u, v, c in prodmap[w[i]]:
-                    off = rowoff[w[:i] + (u, v) + w[i + 1:]]
-                    val = sign * c
-                    for key in zip(row_ints[off:off + n],
-                                   col_ints[base:base + n]):
-                        entries[key] = get(key, 0) + val
-        diffs.append(Mat(ranks[p + 1], ranks[p], dom, entries))
+        # stored columns share these int objects as their row keys, and
+        # indexing them bounds every row (Mat.from_columns does not check)
+        row_ints = list(range(ranks[p + 1]))
+        diffs.append(Mat.from_columns(ranks[p + 1], ranks[p], dom,
+                                      raw_columns(p, cols, rowoff, row_ints)))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
 
 
@@ -276,18 +263,18 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     nb = len(sp.idempotents)
 
     # component of each module basis vector under e_t . m . e_u
-    lcols_e = [_columns_of(M.left[idem_idx[t]]) for t in range(nb)]
-    rcols_e = [_columns_of(M.right[idem_idx[t]]) for t in range(nb)]
+    lefts_e = [M.left[idem_idx[t]] for t in range(nb)]
+    rights_e = [M.right[idem_idx[t]] for t in range(nb)]
 
-    def _pick(cols_per_block, q):
-        hits = [t for t in range(nb) if cols_per_block[t][q]]
-        if len(hits) == 1 and cols_per_block[hits[0]][q] == [(q, dom.one())]:
+    def _pick(mats, q):
+        hits = [t for t in range(nb) if mats[t].column(q)]
+        if len(hits) == 1 and mats[hits[0]].column(q) == {q: dom.one()}:
             return hits[0]
         return None
 
     comp = []
     for q in range(M.dim):
-        comp.append((_pick(lcols_e, q), _pick(rcols_e, q)))
+        comp.append((_pick(lefts_e, q), _pick(rights_e, q)))
         if None in comp[-1]:
             raise AlgebraError(
                 "bimodule basis vector %d is not adapted to the splitting" % q)

@@ -11,10 +11,12 @@ extraction) reduces to four primitives on exact matrices:
 plus `Echelon`, an echelon form of a spanning set kept with its transform,
 for reading many coordinate vectors in one fixed basis.
 
-Matrices are stored sparsely as a map (row, col) -> nonzero scalar.  Scalars
-over Q are `int` when integral and `Fraction` otherwise (arithmetic may
-leave a `Fraction` with denominator 1, which equals and hashes like its
-int); over Z they are plain `int`, and over F_p residues in [0, p).
+Matrices are stored by column, {col: {row: nonzero scalar}} (Saad, Iterative
+Methods for Sparse Linear Systems, 3.4), so complexes are built, multiplied
+and eliminated column by column.  Scalars over Q are `int` when integral and
+`Fraction` otherwise (arithmetic may leave a `Fraction` with denominator 1,
+which equals and hashes like its int); over Z they are plain `int`, and
+over F_p residues in [0, p).
 Elimination over Q is fraction-free: rows are scaled to integers and updated
 by two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
@@ -22,13 +24,16 @@ stays bounded by minors of the input.
 Pivot choices are deterministic.  Echelon-producing routines (kernel_basis,
 solve) sweep pivot columns left to right taking the smallest usable row
 index.  rank and the sparse phase of smith_normal_form share one
-eliminator: the pivot row is the shortest eligible row, ties broken by
-index, popped from a lazy min-heap instead of found by a scan.  Within that
-row the pivot is the eligible entry whose column is shortest, where
-eligible means +-1 over Z and in the first phase of rank over Q, and any
-nonzero entry over F_p.  Rows left without a unit take the entry of least
-magnitude in the second phase of rank over Q, and go to a small dense
-Smith form over Z.  Pivot order affects speed only, never the answer.
+eliminator, which takes the stored columns of m as its rows (rank and the
+invariant factors of m and m^T agree, and the differentials are tall, so
+these are the fewer, longer vectors).  The pivot row is the shortest
+eligible row, ties broken by index, popped from a lazy min-heap instead of
+found by a scan.  Within that row the pivot is the eligible entry whose
+column is shortest, where eligible means +-1 over Z and in the first phase
+of rank over Q, and any nonzero entry over F_p.  Rows left without a unit
+take the entry of least magnitude in the second phase of rank over Q, and
+go to a small dense Smith form over Z.  Pivot order affects speed only,
+never the answer.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
@@ -37,6 +42,7 @@ Smith form over Z.  Pivot order affects speed only, never the answer.
 (2, 4)
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -228,7 +234,7 @@ ZZ = _Integers()
 class Mat:
     """Immutable-by-convention sparse matrix over one coefficient domain."""
 
-    __slots__ = ("rows", "cols", "domain", "_d")
+    __slots__ = ("rows", "cols", "domain", "_c")
 
     def __init__(self, rows, cols, domain, entries=None):
         """Matrix from a map (row, col) -> value.
@@ -240,27 +246,47 @@ class Mat:
         self.rows = rows
         self.cols = cols
         self.domain = domain
-        if not entries:
-            self._d = {}
-            return
-        norm = domain.normalize
-        d = {k: w for k, v in entries.items() if (w := norm(v))}
-        for i, j in d:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise IndexError((i, j))
-        self._d = d
+        by_col = {}
+        if entries:
+            for (i, j), v in entries.items():
+                if v:  # a falsy raw value is zero in every domain
+                    by_col.setdefault(j, {})[i] = v
+        c = self._c = self._normalized(by_col.items())
+        if c and not (0 <= min(c) and max(c) < cols
+                      and 0 <= min(map(min, c.values()))
+                      and max(map(max, c.values())) < rows):
+            raise IndexError("entry outside a %dx%d matrix" % (rows, cols))
+
+    def _normalized(self, columns):
+        """The one normalization pass over (col, {row: raw value}) pairs,
+        taken one at a time, so a generator holds one raw column."""
+        norm = self.domain.normalize
+        out = {}
+        for j, raw in columns:
+            col = {}
+            for i, v in raw.items():
+                if (w := norm(v)):
+                    col[i] = w
+            if col:
+                out[j] = col
+        return out
+
+    @classmethod
+    def from_columns(cls, rows, cols, domain, columns):
+        """Matrix from (col, {row: value}) pairs, normalized as in Mat(); for
+        builders whose indices are in range by construction (not checked)."""
+        m = cls(rows, cols, domain)
+        m._c = m._normalized(columns)
+        return m
 
     @classmethod
     def from_rows(cls, data, domain):
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                ent[(i, j)] = v
-        return cls(rows, cols, domain, ent)
+        if any(len(row) != cols for row in data):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, domain, {(i, j): v for i, row in enumerate(data)
+                                        for j, v in enumerate(row)})
 
     @classmethod
     def zeros(cls, rows, cols, domain):
@@ -270,67 +296,81 @@ class Mat:
     def identity(cls, n, domain):
         return cls(n, n, domain, {(i, i): 1 for i in range(n)})
 
+    def items(self):
+        """The nonzero entries as ((row, col), value), column by column."""
+        return (((i, j), v) for j, col in self._c.items()
+                for i, v in col.items())
+
+    def column(self, j):
+        """Column j as {row: nonzero value}, the stored dict: read only."""
+        return self._c.get(j, {})
+
     def entry(self, i, j):
-        return self._d.get((i, j), self.domain.zero())
+        return self._c.get(j, {}).get(i, self.domain.zero())
 
     def nnz(self):
-        return len(self._d)
+        return sum(map(len, self._c.values()))
 
     def is_zero(self):
-        return not self._d
+        return not self._c
 
     def to_rows(self):
         out = [[self.domain.zero()] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._d.items():
+        for (i, j), v in self.items():
             out[i][j] = v
         return out
 
     def transpose(self):
         return Mat(self.cols, self.rows, self.domain,
-                   {(j, i): v for (i, j), v in self._d.items()})
+                   {(j, i): v for (i, j), v in self.items()})
 
     def change_domain(self, domain):
-        return Mat(self.rows, self.cols, domain, self._d)
+        return Mat.from_columns(self.rows, self.cols, domain, self._c.items())
 
     def add(self, other):
         self._check_compatible(other)
-        ent = dict(self._d)
-        for k, v in other._d.items():
+        ent = dict(self.items())
+        for k, v in other.items():
             ent[k] = ent.get(k, 0) + v
         return Mat(self.rows, self.cols, self.domain, ent)
 
     def neg(self):
-        return Mat(self.rows, self.cols, self.domain,
-                   {k: -v for k, v in self._d.items()})
+        return self.scale(-1)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
         c = self.domain.normalize(c)
-        return Mat(self.rows, self.cols, self.domain,
-                   {k: v * c for k, v in self._d.items()})
+        return Mat.from_columns(self.rows, self.cols, self.domain, (
+            (j, {i: v * c for i, v in col.items()})
+            for j, col in self._c.items()))
 
     def mul(self, other):
+        """self * other, column j being sum_k other[k, j] * self[:, k]."""
         if self.cols != other.rows or self.domain != other.domain:
             raise ValueError("incompatible shapes/domains for product")
-        by_row = {}
-        for (i, k), v in other._d.items():
-            by_row.setdefault(i, []).append((k, v))
-        acc = {}
-        get = acc.get
-        for (i, j), v in self._d.items():
-            for k, w in by_row.get(j, ()):
-                key = (i, k)
-                acc[key] = get(key, 0) + v * w
-        return Mat(self.rows, other.cols, self.domain, acc)
+        left = self._c
+
+        def product_columns():
+            for j, bcol in other._c.items():
+                acc = {}
+                get = acc.get
+                for k, w in bcol.items():
+                    col = left.get(k)
+                    if col:
+                        for i, v in col.items():
+                            acc[i] = get(i, 0) + v * w
+                yield j, acc
+        return Mat.from_columns(self.rows, other.cols, self.domain,
+                                product_columns())
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of length self.cols."""
         dom = self.domain
         vec = [dom.normalize(x) for x in vec]
         out = [0] * self.rows
-        for (i, j), v in self._d.items():
+        for (i, j), v in self.items():
             out[i] += v * vec[j]
         return tuple(dom.normalize(x) for x in out)
 
@@ -344,14 +384,14 @@ class Mat:
         return (isinstance(other, Mat)
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.domain == other.domain
-                and self._d == other._d)
+                and self._c == other._c)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._d.items())))
+        return hash((self.rows, self.cols, frozenset(self.items())))
 
     def __repr__(self):
         return "Mat(%dx%d over %r, %d nonzero)" % (
-            self.rows, self.cols, self.domain, len(self._d))
+            self.rows, self.cols, self.domain, self.nnz())
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +443,20 @@ def _require_field(m):
 
 
 def _strip_row_gcd(row):
+    """row divided by the gcd of its entries; row itself when that is 1."""
     g = 0
     for v in row.values():
         g = gcd(g, abs(v))
         if g == 1:
             return row
-    if g > 1:
-        for k in row:
-            row[k] //= g
-    return row
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
 def _int_rows(rows):
     """Per-row integer scaling of rows over Q (rank is scaling-invariant).
 
-    Rows of normalized values that are all int need no scaling."""
+    Rows of normalized values that are all int need no scaling; a scaled
+    row is a new dict, so the rows passed in are never modified."""
     for i, row in rows.items():
         den = 1
         for v in row.values():
@@ -430,26 +469,28 @@ def _int_rows(rows):
 
 
 def _eliminate(live, choose, update):
-    """Sparse elimination on rows {index: {col: value}}, consumed in place.
+    """Sparse elimination on rows {index: {col: value}}.
 
+    The map `live` is consumed in place, but no row dict in it is modified,
+    so it may share its rows with a matrix: each update builds a new row.
     The pivot row is the shortest eligible row, ties broken by index, taken
     from a lazy min-heap keyed on (length, index): a popped entry is stale
     when its row is gone or has changed length, and every rewritten row is
     pushed afresh.  choose(row, col_index) returns the row's pivot column,
     or None when the row is not eligible; update(prow, pj, trow) returns a
     new row: trow with column pj cleared, differing from trow only in
-    columns of prow, and empty when nothing is left.  Returns the number of
-    pivots and the rows left over, none of them eligible.
+    columns of prow, and empty when nothing is left.  Returns the pivot
+    columns, in the order taken, and the rows left over, none eligible.
     """
-    col_index = {}
+    col_index = defaultdict(set)
     for i, r in live.items():
         for j in r:
-            col_index.setdefault(j, set()).add(i)
+            col_index[j].add(i)
     # heap keys are length * stride + index: ints order faster than tuples
     stride = max(live, default=0) + 1
     heap = [len(r) * stride + i for i, r in live.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         n, pi = divmod(heappop(heap), stride)
         prow = live.get(pi)
@@ -459,7 +500,7 @@ def _eliminate(live, choose, update):
         if pj is None:
             continue
         del live[pi]
-        pivots += 1
+        pivots.append(pj)
         for j in prow:
             col_index[j].discard(pi)
         targets, col_index[pj] = col_index[pj], set()
@@ -529,29 +570,19 @@ def _update_unit(prow, pj, trow):
     return _axpy(trow, trow[pj] * prow[pj], prow)  # pivot is +-1
 
 
-def _sparse_rows(m, by_cols=False):
-    """{index: {index: value}} over the rows of m, or over its columns."""
-    rows = {}
-    for (i, j), v in m._d.items():
-        if by_cols:
-            i, j = j, i
-        rows.setdefault(i, {})[j] = v
-    return rows
-
-
 def rank(m):
     """Rank of a matrix over Q or F_p (DomainNotField over Z)."""
     _require_field(m)
-    # rows run along the smaller dimension
-    rows = _sparse_rows(m, by_cols=m.rows < m.cols)
+    # the stored columns are the eliminated vectors (rank = rank of m^T)
+    rows = dict(m._c)
     if isinstance(m.domain, GF):
-        return _eliminate(rows, _choose_short_column,
-                          _update_mod(m.domain.p))[0]
+        return len(_eliminate(rows, _choose_short_column,
+                              _update_mod(m.domain.p))[0])
     # over Q the +-1 pivots go first, as in the Smith form; the rows left
     # have no unit entry and take the fraction-free rule
     ones, residual = _eliminate(_int_rows(rows), _choose_unit, _update_unit)
-    return ones + _eliminate(residual, _choose_smallest_entry,
-                             _update_fraction_free)[0]
+    return len(ones) + len(_eliminate(residual, _choose_smallest_entry,
+                                      _update_fraction_free)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +808,10 @@ def smith_normal_form(m, want_transforms=False):
         return SmithForm(tuple(factors), len(factors), left, right)
     # a +-1 pivot divides everything, so unit pivots go first, sparsely;
     # what is left has no unit entry and goes to the dense core
-    ones, residual = _eliminate(_sparse_rows(m), _choose_unit, _update_unit)
-    factors = [1] * ones
+    # the stored columns are the eliminated vectors: the invariant factors
+    # of m and m^T agree
+    ones, residual = _eliminate(dict(m._c), _choose_unit, _update_unit)
+    factors = [1] * len(ones)
     if residual:
         # compact the residual block densely
         rkeys = sorted(residual)

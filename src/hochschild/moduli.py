@@ -46,16 +46,16 @@ def normalizer(A):
         # commutator-with-a as a matrix on vec(X), X row-major:
         # [X, a](r, c) = sum_s X(r, s) a(s, c) - sum_s a(r, s) X(s, c)
         K = {}
-        for (s, c), v in a._d.items():
+        for (s, c), v in a.items():
             for r in range(n):
                 key = (r * n + c, r * n + s)
                 K[key] = dom.add(K.get(key, dom.zero()), v)
-        for (r, s), v in a._d.items():
+        for (r, s), v in a.items():
             for c in range(n):
                 key = (r * n + c, s * n + c)
                 K[key] = dom.sub(K.get(key, dom.zero()), v)
         pk = proj.mul(Mat(n * n, n * n, dom, K))
-        for (rr, cc), v in pk._d.items():
+        for (rr, cc), v in pk.items():
             stacked[(i * m + rr, cc)] = v
     system = Mat(d * m, n * n, dom, stacked)
     vecs = kernel_basis(system)

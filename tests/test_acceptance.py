@@ -155,7 +155,7 @@ def _random_unimodular(n, rng):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        entries = dict(Mat.identity(n, QQ)._d)
+        entries = dict(Mat.identity(n, QQ).items())
         entries[(i, j)] = Fraction(rng.choice((-2, -1, 1, 2)))
         g = g.mul(Mat(n, n, QQ, entries))
     return g

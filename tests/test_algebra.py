@@ -41,8 +41,8 @@ def spans_equal(A, B):
         return False
     ma, mb = _span_matrix(A), _span_matrix(B)
     stacked = Mat(A.dim * 2, A.n * A.n, QQ,
-                  {**ma._d, **{(i + A.dim, j): v
-                               for (i, j), v in mb._d.items()}})
+                  {**dict(ma.items()), **{(i + A.dim, j): v
+                                      for (i, j), v in mb.items()}})
     return rank(stacked) == A.dim
 
 
@@ -344,7 +344,7 @@ def test_random_unimodular_conjugates_stay_valid(seed):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             e = Mat.identity(n, ZZ)
-            e = Mat(n, n, ZZ, {**e._d, (i, j): rng.randint(-2, 2)})
+            e = Mat(n, n, ZZ, {**dict(e.items()), (i, j): rng.randint(-2, 2)})
             g = g.mul(e)
     C = conjugate_algebra(A, g)
     assert structure_constants_ok(C)
@@ -367,7 +367,7 @@ def _oracle_algebra(name, dom):
         C = conjugate_algebra(catalog("S11", dom), P)
         if dom != GF(2):  # where entries other than 0 and 1 exist
             assert any(v not in (0, 1) for b in C.basis
-                       for v in b._d.values())
+                       for _, v in b.items())
         return C
     return catalog(name, dom)
 
@@ -385,7 +385,7 @@ def _dense_proj(A, bm):
                       + [list(_dense_vec(u)) for u in units], dom)
     Finv = mat_inverse(F.transpose())
     return Mat(bm.dim, n * n, dom, {(r - A.dim, c): v
-                                    for (r, c), v in Finv._d.items()
+                                    for (r, c), v in Finv.items()
                                     if r >= A.dim}), units
 
 
@@ -497,3 +497,30 @@ def test_radical_products_match_solve_on_catalog():
                 want = solve(rad_t, _dense_vec(sp.radical[i].mul(
                     sp.radical[j])))
                 assert coords == tuple(dom.normalize(v) for v in want)
+
+
+# ---------------------------------------------------------------------------
+# the quotient lattice over Z when the row-major units do not span it
+
+def test_quotient_over_z_falls_back_to_unit_pivots():
+    # X -> diag(X, g X g^-1), g = diag(1, 2): the row-major scan leaves
+    # P = {22, 23, 32, 33}, whose block G has determinant 2, while the +-1
+    # pivots of the basis give a unimodular G
+    A = verify_subalgebra(4, ZZ, [Mat(4, 4, ZZ, ent) for ent in (
+        {(0, 0): 1, (2, 2): 1}, {(0, 1): 2, (2, 3): 1},
+        {(1, 0): 1, (3, 2): 2}, {(1, 1): 1, (3, 3): 1})])
+    bm = quotient_bimodule(A)
+    assert bm.dim == 12
+    # proj is integral and kills A
+    for b in A.basis:
+        flat = [b.entry(i, j) for i in range(4) for j in range(4)]
+        assert not any(bm.proj.apply(flat))
+
+
+def test_quotient_over_z_refuses_without_unit_pivots():
+    # span{I, X}, X = [[2, 3], [0, 0]] (X^2 = 2X), is saturated, but every
+    # choice of two matrix units gives det G in {0, -2, +-3}
+    basis = [I2, [[2, 3], [0, 0]]]
+    assert quotient_bimodule(verify_subalgebra(2, QQ, basis)).dim == 2
+    with pytest.raises(NotSaturated, match="quotient lattice"):
+        quotient_bimodule(verify_subalgebra(2, ZZ, basis))

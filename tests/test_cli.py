@@ -1,8 +1,12 @@
 """Command-line interface: flags, file formats, table diffing, exit codes."""
 
+import copy
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hochschild import cli
 from hochschild.algebra import AlgebraError, catalog, conjugate_algebra
@@ -360,7 +364,8 @@ def test_round_trip_whole_catalog():
         A = catalog(name, QQ)
         B = algebra_from_dict(algebra_to_dict(A), QQ)
         assert B.n == A.n and B.dim == A.dim
-        assert [b._d for b in B.basis] == [a._d for a in A.basis]
+        assert ([dict(b.items()) for b in B.basis]
+                == [dict(a.items()) for a in A.basis])
         assert B.unit_coords == A.unit_coords
         assert B.mult == A.mult
 
@@ -394,3 +399,131 @@ def test_result_document_invariants(capsys):
                     no_floats(v)
 
         no_floats(doc)
+
+
+# ---------------------------------------------------------------------------
+# the splitting block of an algebra file
+
+README_EXAMPLE = {
+    "name": "upper-triangular-2",
+    "n": 2,
+    "basis": [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, "1/2"]]],
+    "splitting": {"idempotents": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                  "radical": [[[0, 1], [0, 0]]]},
+}
+
+
+@pytest.mark.parametrize("ring", ["Q", "F3"])
+def test_file_splitting_feeds_cibils(tmp_path, capsys, ring):
+    # the basis is not 0/1, so only the file's splitting lets cibils run
+    path = write_algebra(tmp_path, README_EXAMPLE)
+    docs = {}
+    for method in ("cibils", "auto", "reduced"):
+        rc, out, err = run(capsys, "compute", "--file", path, "--ring", ring,
+                           "--method", method, "--max-degree", "3")
+        assert rc == 0, err
+        docs[method] = json.loads(out)
+    assert docs["auto"]["method"] == "cibils"
+    assert docs["cibils"]["H"] == docs["auto"]["H"] == docs["reduced"]["H"]
+    no_split = {k: v for k, v in README_EXAMPLE.items() if k != "splitting"}
+    rc, _, err = run(capsys, "compute", "--file",
+                     write_algebra(tmp_path, no_split), "--ring", ring,
+                     "--method", "cibils")
+    assert rc == 3 and "not a 0/1 matrix" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed algebra files end with exit code 2 or 3, never a traceback
+
+# upper triangular 2x2 with its splitting; valid over every ring
+_B2_DOC = {
+    "name": "B2", "n": 2,
+    "basis": [[[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+    "splitting": {"idempotents": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                  "radical": [[[0, 1], [0, 0]]]},
+}
+
+
+def _not_a_fraction(text):
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_BAD_SCALAR = (st.floats(allow_nan=False) | st.booleans() | st.none()
+               | st.lists(st.integers(), max_size=2)
+               | st.text(max_size=4).filter(_not_a_fraction))
+_MATRIX_PATHS = [("basis", k) for k in range(3)] + [
+    ("splitting", "idempotents", 0), ("splitting", "idempotents", 1),
+    ("splitting", "radical", 0)]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _malformed(draw):
+    """(file text, ring): a valid document broken in one drawn way."""
+    ring = draw(st.sampled_from(["Q", "Z", "F2", "F3"]))
+    doc = copy.deepcopy(draw(st.sampled_from([_B2_DOC, README_EXAMPLE])))
+    how = draw(st.sampled_from(["text", "top", "drop", "n", "basis",
+                                "entry", "row", "splitting", "list",
+                                "empty list"]))
+    if how == "text":
+        return draw(st.text(max_size=20).filter(_not_json)), ring
+    if how == "top":
+        doc = draw(_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif how == "drop":
+        del doc[draw(st.sampled_from(["name", "n", "basis"]))]
+    elif how == "n":
+        doc["n"] = draw(_JSON.filter(
+            lambda v: not (type(v) is int and v == 2)))
+    elif how == "basis":
+        doc["basis"] = draw(_JSON.filter(
+            lambda v: not isinstance(v, list) or not v))
+    elif how in ("entry", "row"):
+        mat = _at(doc, draw(st.sampled_from(_MATRIX_PATHS)))
+        i = draw(st.integers(0, 1))
+        if how == "entry":
+            mat[i][draw(st.integers(0, 1))] = draw(_BAD_SCALAR)
+        else:
+            mat[i] = draw(_JSON.filter(
+                lambda v: not isinstance(v, list) or len(v) != 2))
+    elif how == "splitting":
+        doc["splitting"] = draw(_JSON.filter(
+            lambda v: not isinstance(v, dict)))
+    else:
+        field = draw(st.sampled_from(["idempotents", "radical"]))
+        doc["splitting"][field] = [] if how == "empty list" else draw(
+            _JSON.filter(lambda v: not isinstance(v, list)))
+    return json.dumps(doc), ring
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_malformed())
+def test_malformed_files_exit_cleanly(tmp_path, capsys, case):
+    text, ring = case
+    path = tmp_path / "alg.json"
+    path.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, "compute", "--file", str(path), "--ring", ring)
+    assert rc in (2, 3) and err.startswith("error: "), (text, ring, err)

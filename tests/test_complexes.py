@@ -80,10 +80,10 @@ def test_dd_check_rejects_corrupted_differential(build, dom):
         d, after = cx.diffs[p], cx.diffs[p + 1]
         # adding 1 to d^p at a row that d^(p+1) reads adds that nonzero
         # column of d^(p+1) to the product
-        row = min(c for _, c in after._d)
+        row = min(c for (_, c), _ in after.items())
         diffs = list(cx.diffs)
         diffs[p] = Mat(d.rows, d.cols, dom,
-                       {**d._d, (row, 0): d.entry(row, 0) + 1})
+                       {**dict(d.items()), (row, 0): d.entry(row, 0) + 1})
         with pytest.raises(RuntimeError,
                            match=r"is nonzero \(%s\)" % cx.method_tag):
             CochainComplex(cx.method_tag, dom, cx.ranks, diffs, cx.labels)
@@ -137,7 +137,7 @@ def test_periodic_complex_j3_matrices():
     cx = jn_periodic_complex(3, ZZ, top_degree=6)
     assert cx.ranks == (6,) * 7
     even = cx.diffs[0]
-    assert dict(even._d) == JORDAN3_COMMUTATOR
+    assert dict(even.items()) == JORDAN3_COMMUTATOR
     assert smith_normal_form(even).invariant_factors == (1, 1, 1, 3)
     assert cx.diffs[1].is_zero()  # the norm map vanishes on the quotient
     assert cx.diffs[2] == even

@@ -89,7 +89,9 @@ def test_rational_matrix_from_ints_equals_from_fractions():
     assert ints == fracs and hash(ints) == hash(fracs)
     # a Fraction with denominator 1 equals and hashes like its int
     raw = Mat.zeros(2, 3, QQ)
-    raw._d = {k: Fraction(v) for k, v in ints._d.items()}
+    raw._c = {}
+    for (i, j), v in ints.items():
+        raw._c.setdefault(j, {})[i] = Fraction(v)
     assert raw == ints and hash(raw) == hash(ints)
     # a product's integral sums of Fractions are stored as ints
     half = _mat([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], QQ)
@@ -478,3 +480,75 @@ def test_solve_returns_actual_solutions(rows, rhs):
     else:
         aug = [rows[i] + [rhs[i]] for i in range(m.rows)]
         assert sympy.Matrix(aug).rank() > sympy.Matrix(rows).rank()
+
+
+# ---------------------------------------------------------------------------
+# column storage: the eliminator starts from the stored columns, so no
+# public routine may consume or rewrite its arguments, and every answer is
+# the same for a matrix and its transpose
+
+_RINGS = (QQ, GF(2), GF(3), ZZ)
+_SHAPES = ("tall", "wide", "square", "no rows", "no columns")
+
+
+@st.composite
+def _stored_matrix(draw):
+    dom = draw(st.sampled_from(_RINGS))
+    small, large = draw(st.integers(1, 4)), draw(st.integers(5, 10))
+    r, c = {"tall": (large, small), "wide": (small, large),
+            "square": (small, small), "no rows": (0, large),
+            "no columns": (large, 0)}[draw(st.sampled_from(_SHAPES))]
+    values = st.integers(-4, 4)
+    if dom == QQ:
+        values = st.builds(Fraction, values, st.integers(1, 3))
+    ent = {}
+    if r and c:
+        ent = draw(st.dictionaries(
+            st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)), values,
+            max_size=r * c))
+        empty = draw(st.sets(st.integers(0, c - 1), max_size=c))
+        ent = {(i, j): v for (i, j), v in ent.items() if j not in empty}
+    return Mat(r, c, dom, ent)
+
+
+def _unchanged(m, call):
+    """call(m), asserting that m still equals, and hashes like, a copy
+    taken before the call."""
+    copy, h = Mat(m.rows, m.cols, m.domain, dict(m.items())), hash(m)
+    out = call(m)
+    assert m == copy and hash(m) == h
+    return out
+
+
+def _sympy_rows(m):
+    return sympy.Matrix(m.rows, m.cols, lambda i, j: m.entry(i, j))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stored_matrix())
+def test_column_storage_arguments_survive(m):
+    t = m.transpose()
+    assert t.transpose() == m and t.nnz() == m.nnz()
+    assert all(v for _, v in m.items())
+    assert _unchanged(m, lambda x: x.mul(t)) == _unchanged(
+        t, lambda x: m.mul(x))
+    if m.domain == ZZ:
+        factors = _unchanged(m, smith_normal_form).invariant_factors
+        sf = _unchanged(m, lambda x: smith_normal_form(x, True))
+        assert sf.invariant_factors == factors
+        assert smith_normal_form(t).invariant_factors == factors
+        want = ()
+        if m.rows and m.cols:
+            want = tuple(int(abs(f)) for f in sympy_factors(_sympy_rows(m))
+                         if f != 0)
+        assert factors == want
+        kern = _unchanged(m, kernel_basis)
+        assert len(kern) == m.cols - len(factors)
+        return
+    k = _unchanged(m, rank)
+    assert rank(t) == k
+    assert len(_unchanged(m, kernel_basis)) == m.cols - k
+    rhs = [m.entry(i, 0) for i in range(m.rows)] if m.cols else [0] * m.rows
+    assert _unchanged(m, lambda x: solve(x, rhs)) is not NoSolution
+    if m.domain == QQ:
+        assert k == _sympy_rows(m).rank()

@@ -35,7 +35,7 @@ def test_normalizer_dims(name, dom, want):
 def _stack_flat(mats, n):
     entries = {}
     for r, m in enumerate(mats):
-        for (i, j), v in m._d.items():
+        for (i, j), v in m.items():
             entries[(r, i * n + j)] = v
     return Mat(len(mats), n * n, QQ, entries)
 

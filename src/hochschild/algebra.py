@@ -33,8 +33,8 @@ polynomial).
 """
 
 from .exactla import (Echelon, Mat, NoSolution, QQ, ZZ, _choose_unit,
-                      _eliminate, _update_unit, kernel_basis,
-                      smith_normal_form)
+                      _column_echelon, _eliminate, _update_unit,
+                      kernel_basis, smith_normal_form)
 
 
 class AlgebraError(ValueError):
@@ -197,7 +197,11 @@ def _integer_inverse(m):
 
 
 def mat_inverse(m):
-    """Inverse of a square matrix over a field (NotInvertible otherwise)."""
+    """Inverse of a square matrix over a field (NotInvertible otherwise).
+
+    Column j of the inverse is the coordinates of e_j over m's columns,
+    read from one echelon form of them.
+    """
     if m.rows != m.cols:
         raise NotInvertible("not square")
     dom = m.domain
@@ -206,14 +210,11 @@ def mat_inverse(m):
             return _integer_inverse(m)
         raise NotInvertible("unsupported domain")
     n = m.rows
-    rows = m.to_rows()
-    for i in range(n):
-        rows[i].extend(dom.one() if j == i else dom.zero() for j in range(n))
-    from .exactla import _rref_dense
-    pivots = _rref_dense(rows, 2 * n, dom)
-    if pivots[:n] != list(range(n)):
+    ech, kept = _column_echelon(m)
+    if len(kept) != n:
         raise NotInvertible("matrix is singular")
-    return Mat.from_rows([row[n:] for row in rows], dom)
+    return Mat.from_columns(n, n, dom, (
+        (j, dict(enumerate(ech.coords({j: 1})))) for j in range(n)))
 
 
 def verify_subalgebra(n, domain, basis, name=None):
@@ -852,10 +853,12 @@ def catalog(name, domain, params=None):
         fam, params = "P", tuple(int(c) for c in key[1:])
     if params is None:
         raise UnknownName("unknown catalog name %r" % (name,))
-    if fam == "J":
+    if fam in ("J", "M", "B", "D", "C"):
         n = int(params)
-        if n < 2:
-            raise BadParams("J_n needs n >= 2")
+        least = 2 if fam == "J" else 1
+        if n < least:
+            raise BadParams("%s_n needs n >= %d" % (fam, least))
+    if fam == "J":
         A = verify_subalgebra(n, domain, _jn_basis(n, domain), name="J%d" % n)
         A.meta["family"] = ("J", n)
         if n == 3:
@@ -863,21 +866,17 @@ def catalog(name, domain, params=None):
             A.meta["degree"] = 3
         return A
     if fam == "M":
-        n = int(params)
         basis = [_unit_matrix(n, i, j, domain)
                  for i in range(n) for j in range(n)]
         return verify_subalgebra(n, domain, basis, name="M%d" % n)
     if fam == "B":
-        n = int(params)
         basis = [_unit_matrix(n, i, j, domain)
                  for i in range(n) for j in range(i, n)]
         return verify_subalgebra(n, domain, basis, name="B%d" % n)
     if fam == "D":
-        n = int(params)
         basis = [_unit_matrix(n, i, i, domain) for i in range(n)]
         return verify_subalgebra(n, domain, basis, name="D%d" % n)
     if fam == "C":
-        n = int(params)
         return verify_subalgebra(n, domain, [Mat.identity(n, domain)],
                                  name="C%d" % n)
     if fam == "P":

@@ -337,10 +337,16 @@ def _write_out(text, path):
 # ---------------------------------------------------------------------------
 # commands
 
+def _check_limits(args):
+    for flag, value in (("--max-degree", args.max_degree),
+                        ("--size-budget", args.size_budget)):
+        if value < 0:
+            raise UsageError("%s must be >= 0" % flag)
+
+
 def cmd_compute(args):
     domain, ring_str = parse_ring(args.ring)
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be >= 0")
+    _check_limits(args)
     if args.algebra:
         try:
             A = catalog(args.algebra, domain)
@@ -370,8 +376,7 @@ def cmd_compute(args):
 
 def cmd_table(args):
     domain, ring_str = parse_ring(args.ring)
-    if args.max_degree < 0:
-        raise UsageError("--max-degree must be >= 0")
+    _check_limits(args)
     rows = _EXPECTED_ROWS[args.degree]
     degrees = list(range(args.max_degree + 1))
     table = []

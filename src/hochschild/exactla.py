@@ -4,12 +4,17 @@ Everything downstream (cochain differentials, normalizer systems, torsion
 extraction) reduces to four primitives on exact matrices:
 
     rank            -- over a field, by sparse elimination
-    kernel_basis    -- over a field, reduced-echelon normalized
-    solve           -- over a field, leftmost-pivot particular solution
+    kernel_basis    -- over a field, reduced-echelon normalized; over Z,
+                       a saturated lattice basis
+    solve           -- over a field, free variables set to 0
     smith_normal_form -- over the integers, invariant factors d1 | d2 | ...
 
 plus `Echelon`, an echelon form of a spanning set kept with its transform,
-for reading many coordinate vectors in one fixed basis.
+for reading many coordinate vectors in one fixed basis.  Over a field,
+kernel_basis and solve (and algebra.mat_inverse) feed m's columns to one
+Echelon, left to right: the columns it keeps are the leftmost independent
+set, the pivot columns of the reduced row echelon form, and the coordinates
+over them of the other columns, or of the right-hand side, are the answer.
 
 Matrices are stored by column, {col: {row: nonzero scalar}} (Saad, Iterative
 Methods for Sparse Linear Systems, 3.4), so complexes are built, multiplied
@@ -17,23 +22,21 @@ and eliminated column by column.  Scalars over Q are `int` when integral and
 `Fraction` otherwise (arithmetic may leave a `Fraction` with denominator 1,
 which equals and hashes like its int); over Z they are plain `int`, and
 over F_p residues in [0, p).
-Elimination over Q is fraction-free: rows are scaled to integers and updated
-by two-term integer combinations with gcd stripping, so intermediate swell
+Rank over Q is fraction-free: rows are scaled to integers and updated by
+two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
 
-Pivot choices are deterministic.  Echelon-producing routines (kernel_basis,
-solve) sweep pivot columns left to right taking the smallest usable row
-index.  rank and the sparse phase of smith_normal_form share one
-eliminator, which takes the stored columns of m as its rows (rank and the
-invariant factors of m and m^T agree, and the differentials are tall, so
-these are the fewer, longer vectors).  The pivot row is the shortest
-eligible row, ties broken by index, popped from a lazy min-heap instead of
-found by a scan.  Within that row the pivot is the eligible entry whose
-column is shortest, where eligible means +-1 over Z and in the first phase
-of rank over Q, and any nonzero entry over F_p.  Rows left without a unit
-take the entry of least magnitude in the second phase of rank over Q, and
-go to a small dense Smith form over Z.  Pivot order affects speed only,
-never the answer.
+Pivot choices are deterministic.  rank and the sparse phase of
+smith_normal_form share one eliminator, which takes the stored columns of m
+as its rows (rank and the invariant factors of m and m^T agree, and the
+differentials are tall, so these are the fewer, longer vectors).  The pivot
+row is the shortest eligible row, ties broken by index, popped from a lazy
+min-heap instead of found by a scan.  Within that row the pivot is the
+eligible entry whose column is shortest, where eligible means +-1 over Z
+and in the first phase of rank over Q, and any nonzero entry over F_p.
+Rows left without a unit take the entry of least magnitude in the second
+phase of rank over Q, and go to a small dense Smith form over Z.  Pivot
+order affects speed only, never the answer.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
@@ -394,44 +397,6 @@ class Mat:
             self.rows, self.cols, self.domain, self.nnz())
 
 
-# ---------------------------------------------------------------------------
-# dense reduced row echelon form (workhorse for kernel_basis / solve)
-
-
-def _rref_dense(rows, ncols, domain):
-    """In-place RREF on a list of dense rows; returns list of pivot columns.
-
-    Pivot sweep is left to right over the columns; within a column the
-    surviving row with the smallest index is the pivot row.
-    """
-    pivots = []
-    prow = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, nrows):
-            if not domain.is_zero(rows[r][col]):
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = domain.inv(rows[prow][col])
-        if inv != domain.one():
-            rows[prow] = [domain.mul(inv, v) for v in rows[prow]]
-        for r in range(nrows):
-            if r != prow and not domain.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rowp = rows[prow]
-                rows[r] = [domain.sub(rows[r][j], domain.mul(f, rowp[j]))
-                           for j in range(ncols)]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return pivots
-
-
 def _require_field(m):
     if not m.domain.is_field:
         raise DomainNotField(
@@ -592,28 +557,25 @@ def rank(m):
 def kernel_basis(m):
     """Basis of the right kernel {v : m v = 0}.
 
-    Over a field the basis is RREF-normalized.  Over Z the result is a
-    basis of the (always saturated) kernel lattice, read off the column
-    transform of the Smith normal form.
+    Over a field each column f outside the leftmost independent set gives
+    e_f minus its coordinates over that set, the RREF-normalized basis.
+    Over Z the result is a basis of the (always saturated) kernel lattice,
+    read off the column transform of the Smith normal form.
     """
     if m.domain == ZZ:
         sf = smith_normal_form(m, want_transforms=True)
         V = sf.right
         return [tuple(V.entry(i, j) for i in range(m.cols))
                 for j in range(sf.rank, m.cols)]
-    _require_field(m)
+    ech, kept = _column_echelon(m)
     dom = m.domain
-    rows = m.to_rows()
-    pivots = _rref_dense(rows, m.cols, dom)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for f in free:
-        v = [dom.zero()] * m.cols
-        v[f] = dom.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = dom.neg(rows[r][f])
-        basis.append(tuple(v))
+    for f in sorted(set(range(m.cols)).difference(kept)):
+        v = [0] * m.cols
+        v[f] = 1
+        for pc, c in zip(kept, ech.coords(m.column(f))):
+            v[pc] = -c
+        basis.append(tuple(map(dom.normalize, v)))
     return basis
 
 
@@ -681,22 +643,33 @@ class Echelon:
         return tuple(out)
 
 
-def solve(m, rhs):
-    """One solution of m x = rhs (free variables set to 0), or NoSolution."""
+def _column_echelon(m):
+    """An Echelon of m's columns fed left to right, and the columns it kept.
+
+    The kept columns are the leftmost independent set, which are the pivot
+    columns of the reduced row echelon form of m; coords() then gives the
+    unique combination of them equal to any vector in the column space.
+    """
     _require_field(m)
-    dom = m.domain
+    ech = Echelon(m.domain)
+    return ech, [j for j in range(m.cols) if ech.add(m.column(j))]
+
+
+def solve(m, rhs):
+    """One solution of m x = rhs (free variables set to 0), or NoSolution.
+
+    The solution is rhs's coordinates over the leftmost independent columns.
+    """
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    rows = m.to_rows()
-    for i, b in enumerate(rhs):
-        rows[i].append(dom.normalize(b))
-    pivots = _rref_dense(rows, m.cols + 1, dom)
-    if m.cols in pivots:
+    ech, kept = _column_echelon(m)
+    c = ech.coords(dict(enumerate(rhs)))
+    if c is NoSolution:
         return NoSolution
-    x = [dom.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
-    return tuple(x)
+    x = [0] * m.cols
+    for pc, v in zip(kept, c):
+        x[pc] = v
+    return tuple(map(m.domain.normalize, x))
 
 
 # ---------------------------------------------------------------------------

@@ -44,16 +44,17 @@ def normalizer(A):
     stacked = {}
     for i, a in enumerate(A.basis):
         # commutator-with-a as a matrix on vec(X), X row-major:
-        # [X, a](r, c) = sum_s X(r, s) a(s, c) - sum_s a(r, s) X(s, c)
+        # [X, a](r, c) = sum_s X(r, s) a(s, c) - sum_s a(r, s) X(s, c),
+        # kept as raw sums that Mat() normalizes once
         K = {}
         for (s, c), v in a.items():
             for r in range(n):
                 key = (r * n + c, r * n + s)
-                K[key] = dom.add(K.get(key, dom.zero()), v)
+                K[key] = K.get(key, 0) + v
         for (r, s), v in a.items():
             for c in range(n):
                 key = (r * n + c, s * n + c)
-                K[key] = dom.sub(K.get(key, dom.zero()), v)
+                K[key] = K.get(key, 0) - v
         pk = proj.mul(Mat(n * n, n * n, dom, K))
         for (rr, cc), v in pk.items():
             stacked[(i * m + rr, cc)] = v

@@ -108,6 +108,12 @@ def test_catalog_unknown_and_bad_params():
         catalog("S99", QQ)
     with pytest.raises(BadParams):
         catalog("J", QQ, 1)
+    for name in ("M0", "B0", "D0", "C0", "J1"):
+        with pytest.raises(BadParams):
+            catalog(name, QQ)
+    for fam in "MBDC":
+        with pytest.raises(BadParams):
+            catalog(fam, ZZ, -1)
 
 
 def test_catalog_families():

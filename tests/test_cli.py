@@ -336,6 +336,13 @@ def test_exit_code_negative_degree(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [("compute", "--algebra", "N2"),
+                                  ("table", "--degree", "2")])
+def test_exit_code_negative_size_budget(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--size-budget", "-5")
+    assert rc == 2 and not out and "--size-budget must be >= 0" in err
+
+
 def test_compute_parabolic_by_name(capsys):
     rc, out, _ = run(capsys, "compute", "--algebra", "P22", "--ring", "Q",
                      "--max-degree", "1")

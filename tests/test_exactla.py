@@ -9,7 +9,7 @@ from sympy.matrices.normalforms import invariant_factors as sympy_factors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild.algebra import catalog
+from hochschild.algebra import NotInvertible, catalog, mat_inverse
 from hochschild.cohomology import cohomology_of
 from hochschild.exactla import (GF, QQ, ZZ, DomainNotField, Echelon, Mat,
                                 NoSolution, kernel_basis, rank,
@@ -273,26 +273,56 @@ def _from_sympy(v):
     return Fraction(int(v.p), int(v.q))
 
 
+def _check_against_sympy(rng, rows):
+    r = len(rows)
+    m = _mat(rows, QQ)
+    sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                        for v in row] for row in rows])
+    assert rank(m) == sm.rank(), rows
+    assert kernel_basis(m) == [tuple(_from_sympy(x) for x in v)
+                               for v in sm.nullspace()], rows
+    rhs = [rng.randint(-3, 3) for _ in range(r)]
+    rhs[0] = Fraction(1, 2)
+    try:
+        sol, params = sm.gauss_jordan_solve(sympy.Matrix(rhs))
+    except ValueError:  # inconsistent
+        assert solve(m, rhs) is NoSolution, rows
+    else:
+        sol = sol.subs({t: 0 for t in params})
+        assert solve(m, rhs) == tuple(_from_sympy(x) for x in sol), rows
+    return m, sm
+
+
 def test_mixed_rational_matrices_match_sympy():
     rng = random.Random(23)
     for _ in range(40):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
+        _check_against_sympy(rng, _random_mixed_rows(rng, r, c))
+    # tall and sparse, as the stacked normalizer systems are
+    for _ in range(20):
+        r, c = rng.randint(9, 30), rng.randint(2, 8)
         rows = _random_mixed_rows(rng, r, c)
-        m = _mat(rows, QQ)
-        sm = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
-                            for v in row] for row in rows])
-        assert rank(m) == sm.rank(), rows
-        assert kernel_basis(m) == [tuple(_from_sympy(x) for x in v)
-                                   for v in sm.nullspace()], rows
-        rhs = [rng.randint(-3, 3) for _ in range(r)]
-        rhs[0] = Fraction(1, 2)
-        try:
-            sol, params = sm.gauss_jordan_solve(sympy.Matrix(rhs))
-        except ValueError:  # inconsistent
-            assert solve(m, rhs) is NoSolution, rows
-        else:
-            sol = sol.subs({t: 0 for t in params})
-            assert solve(m, rhs) == tuple(_from_sympy(x) for x in sol), rows
+        for row in rows[1:]:
+            for j in range(c):
+                if rng.random() < 0.6:
+                    row[j] = 0
+        _check_against_sympy(rng, rows)
+    # square: the inverse, or NotInvertible exactly when sympy's is singular
+    inverted = 0
+    for _ in range(30):
+        k = rng.randint(1, 6)
+        rows = _random_mixed_rows(rng, k, k)
+        if rng.random() < 0.7:
+            rows[-1] = [rng.randint(-3, 3) for _ in range(k)]
+        m, sm = _check_against_sympy(rng, rows)
+        if sm.det() == 0:
+            with pytest.raises(NotInvertible):
+                mat_inverse(m)
+            continue
+        inverted += 1
+        assert mat_inverse(m) == _mat([[_from_sympy(x) for x in row]
+                                       for row in sm.inv().tolist()], QQ)
+    assert inverted >= 10
 
 
 # rank over Q past the unit phase: every row below has gcd 1 and no +-1
@@ -387,7 +417,7 @@ def test_snf_factors_match_sympy():
 
 # ---------------------------------------------------------------------------
 # F_2/F_3 rank of mid-sized sparse matrices against rank-nullity through the
-# dense RREF kernel, and against the rank of the transpose; this guards the
+# Echelon kernel, and against the rank of the transpose; this guards the
 # shortest-column pivot rule over F_p
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hochschild.algebra import catalog
+from hochschild.algebra import catalog, verify_subalgebra
 from hochschild.cohomology import cohomology_of
 from hochschild.complexes import SizeBudgetExceeded
 from hochschild.exactla import GF, QQ, ZZ, Mat, rank
@@ -12,6 +12,7 @@ from hochschild.moduli import (INCONCLUSIVE, YES, ModuliReport, certificates,
 
 from _tabledata import (ALL_NAMES, TANGENT, field_dims,
                         normalizer_dim as table_normalizer_dim)
+from test_cohomology import RP2
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +56,17 @@ def test_normalizer_against_tables():
         for dom, char in ((QQ, 0), (GF(2), 2), (GF(3), 3)):
             assert normalizer_dim(catalog(name, dom)) == \
                 table_normalizer_dim(name, char), (name, char)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2)])
+def test_normalizer_of_projective_plane_incidence_algebra(dom):
+    # the face poset of the 6-vertex RP^2: n = 31, d = 121, a stacked
+    # system of 101,640 x 961 that must never be densified
+    n, leq = RP2
+    A = verify_subalgebra(n, dom, [Mat(n, n, dom, {xy: 1}) for xy in leq])
+    basis, dim = normalizer(A)
+    assert dim == len(basis) == A.dim == 121
+    assert dim - A.dim == cohomology_of(A, degrees=[0])[0]["dim"]
 
 
 # ---------------------------------------------------------------------------

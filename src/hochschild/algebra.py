@@ -33,8 +33,8 @@ polynomial).
 """
 
 from .exactla import (Echelon, Mat, NoSolution, QQ, ZZ, _choose_unit,
-                      _column_echelon, _eliminate, _update_unit,
-                      kernel_basis, smith_normal_form)
+                      _column_echelon, _eliminate, _euclid_steps,
+                      _update_unit, kernel_basis, smith_normal_form)
 
 
 class AlgebraError(ValueError):
@@ -97,9 +97,7 @@ def _coords_in(span, domain, m):
     sol = span.coords(_flat(m))
     if sol is NoSolution or domain != ZZ:
         return sol
-    if any(v.denominator != 1 for v in sol):
-        return NoSolution
-    return tuple(int(v) for v in sol)
+    return NoSolution if any(type(v) is not int for v in sol) else sol
 
 
 def _unit_matrix(n, i, j, domain):
@@ -145,27 +143,28 @@ class Algebra:
         return Mat.identity(self.n, self.domain)
 
     def with_unit_first(self):
-        """The same algebra re-based so the first basis vector is I_n."""
-        if self.meta.get("unit_first"):
+        """The same algebra re-based so that the first basis vector is I_n.
+
+        I_n replaces the last basis vector whose unit coordinate is a unit
+        of the ring (nonzero over a field, +-1 over Z), and the others keep
+        their order: over a field, the greedy echelon choice.  Over Z, when
+        no coordinate is +-1, Euclid steps on the coordinates, mirrored as
+        b_i += q b_j, make one so first; every step is unimodular.  Returns
+        self when the basis already starts with I_n.
+        """
+        dom, u = self.domain, list(self.unit_coords)
+        if u[0] == 1 and not any(u[1:]):
             return self
-        dom = self.domain
-        ident = Mat.identity(self.n, dom)
-        if dom == ZZ:
-            rows = _unimodular_with_first_row(self.unit_coords)
-            new_basis = []
-            for row in rows:
-                acc = Mat.zeros(self.n, self.n, dom)
-                for j, c in enumerate(row):
-                    if c:
-                        acc = acc.add(self.basis[j].scale(c))
-                new_basis.append(acc)
-        else:
-            span = _span_echelon([ident], dom)
-            new_basis = [ident] + [b for b in self.basis
-                                   if span.add(_flat(b))]
-        out = verify_subalgebra(self.n, dom, new_basis, name=self.name)
+        basis = list(self.basis)
+        if dom == ZZ and 1 not in u and -1 not in u:
+            for i, j, q in _euclid_steps(u):
+                basis[i] = basis[i].add(basis[j].scale(q))
+        k = max(j for j, c in enumerate(u)
+                if c and (dom.is_field or abs(c) == 1))
+        out = verify_subalgebra(
+            self.n, dom, [Mat.identity(self.n, dom)] + basis[:k]
+            + basis[k + 1:], name=self.name)
         out.meta = dict(self.meta)
-        out.meta["unit_first"] = True
         return out
 
     def __repr__(self):
@@ -173,48 +172,25 @@ class Algebra:
             self.name or "?", self.n, self.dim, self.domain)
 
 
-def _unimodular_with_first_row(r):
-    """A unimodular integer matrix whose first row is the primitive r."""
-    d = len(r)
-    sf = smith_normal_form(Mat.from_rows([list(r)], ZZ), want_transforms=True)
-    if sf.invariant_factors != (1,):
-        raise AlgebraError("unit coordinates are not primitive")
-    vinv = _integer_inverse(sf.right)
-    rows = vinv.to_rows()
-    sign = sf.left.entry(0, 0)  # +-1; sign * first row of V^-1 == r
-    rows[0] = [sign * v for v in rows[0]]
-    return rows
-
-
-def _integer_inverse(m):
-    inv = mat_inverse(m.change_domain(QQ))
-    ent = {}
-    for (i, j), v in inv.items():
-        if v.denominator != 1:
-            raise NotInvertible("matrix is not unimodular")
-        ent[(i, j)] = int(v)
-    return Mat(m.rows, m.cols, ZZ, ent)
-
-
 def mat_inverse(m):
-    """Inverse of a square matrix over a field (NotInvertible otherwise).
+    """Inverse of a square matrix over a field or Z (NotInvertible
+    otherwise).
 
     Column j of the inverse is the coordinates of e_j over m's columns,
-    read from one echelon form of them.
+    read from one echelon form of them, over Q for an integer matrix,
+    whose inverse must then be integral.
     """
     if m.rows != m.cols:
         raise NotInvertible("not square")
-    dom = m.domain
-    if not dom.is_field:
-        if dom == ZZ:
-            return _integer_inverse(m)
-        raise NotInvertible("unsupported domain")
-    n = m.rows
-    ech, kept = _column_echelon(m)
+    dom, n = m.domain, m.rows
+    ech, kept = _column_echelon(m.change_domain(QQ) if dom == ZZ else m)
     if len(kept) != n:
         raise NotInvertible("matrix is singular")
+    cols = [ech.coords({j: 1}) for j in range(n)]
+    if dom == ZZ and any(type(v) is not int for c in cols for v in c):
+        raise NotInvertible("matrix is not unimodular")
     return Mat.from_columns(n, n, dom, (
-        (j, dict(enumerate(ech.coords({j: 1})))) for j in range(n)))
+        (j, dict(enumerate(c))) for j, c in enumerate(cols)))
 
 
 def verify_subalgebra(n, domain, basis, name=None):
@@ -574,22 +550,10 @@ def detect_splitting(A):
         bigrading.append(grades.pop())
     # radical span must be a two-sided nilpotent ideal
     rad = _span_echelon(offd, dom)
-
-    def radical_coords(mat):
-        if mat.is_zero():
-            return tuple(dom.zero() for _ in offd)
-        sol = rad.coords(_flat(mat))
-        if sol is NoSolution:
-            return NoSolution
-        try:
-            return tuple(dom.normalize(v) for v in sol)
-        except (ValueError, TypeError):
-            raise NotSplit("radical products need non-integral coordinates")
-
     products = {}
     for i, x in enumerate(offd):
         for j, y in enumerate(offd):
-            c = radical_coords(x.mul(y))
+            c = _coords_in(rad, dom, x.mul(y))
             if c is NoSolution:
                 raise NotSplit("radical span is not an ideal")
             products[(i, j)] = c

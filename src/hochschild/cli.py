@@ -96,7 +96,7 @@ def algebra_from_dict(doc, domain):
         basis = doc["basis"]
     except KeyError as e:
         raise AlgebraError("algebra file is missing the %s field" % e)
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:  # true is an int in Python
         raise AlgebraError("n must be a positive integer")
     if not isinstance(basis, list) or not basis:
         raise AlgebraError("basis must be a nonempty array of matrices")

@@ -4,17 +4,21 @@ Everything downstream (cochain differentials, normalizer systems, torsion
 extraction) reduces to four primitives on exact matrices:
 
     rank            -- over a field, by sparse elimination
-    kernel_basis    -- over a field, reduced-echelon normalized; over Z,
-                       a saturated lattice basis
+    kernel_basis    -- reduced-echelon normalized over a field; over Z, that
+                       basis of m over Q, saturated to a lattice basis
     solve           -- over a field, free variables set to 0
     smith_normal_form -- over the integers, invariant factors d1 | d2 | ...
+                       (no transforms)
 
 plus `Echelon`, an echelon form of a spanning set kept with its transform,
-for reading many coordinate vectors in one fixed basis.  Over a field,
-kernel_basis and solve (and algebra.mat_inverse) feed m's columns to one
-Echelon, left to right: the columns it keeps are the leftmost independent
-set, the pivot columns of the reduced row echelon form, and the coordinates
-over them of the other columns, or of the right-hand side, are the answer.
+for reading many coordinate vectors in one fixed basis.  kernel_basis and
+solve (and algebra.mat_inverse) feed m's columns to one Echelon, over Q
+for an integer m, left to right: the columns it keeps are the leftmost
+independent set, the pivot columns of the reduced row echelon form, and
+the coordinates over them of the other columns, or of the right-hand side,
+are the answer.  Over Z the kernel vectors e_f - sum c_k e_{kept_k} are
+then saturated in place by unimodular steps, one kept position at a time:
+no transform matrix is ever formed.
 
 Matrices are stored by column, {col: {row: nonzero scalar}} (Saad, Iterative
 Methods for Sparse Linear Systems, 3.4), so complexes are built, multiplied
@@ -41,6 +45,8 @@ order affects speed only, never the answer.
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
 [(-1, 1)]
+>>> kernel_basis(Mat.from_rows([[2, 3]], ZZ))
+[(-3, 2)]
 >>> smith_normal_form(Mat.from_rows([[2, 4], [6, 8]], ZZ)).invariant_factors
 (2, 4)
 """
@@ -49,7 +55,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 
 
 class DomainNotField(TypeError):
@@ -557,26 +563,71 @@ def rank(m):
 def kernel_basis(m):
     """Basis of the right kernel {v : m v = 0}.
 
-    Over a field each column f outside the leftmost independent set gives
-    e_f minus its coordinates over that set, the RREF-normalized basis.
-    Over Z the result is a basis of the (always saturated) kernel lattice,
-    read off the column transform of the Smith normal form.
+    Each column f outside the leftmost independent set gives e_f minus its
+    coordinates over that set, the RREF-normalized basis (over Z, of m
+    over Q).  An integral kernel vector v is the combination of these with
+    the integer coefficients v[f], so over Z only the kept positions can
+    be fractional; saturating them there gives a Z-basis of the kernel
+    lattice, which is the RREF basis itself when that is integral.
     """
-    if m.domain == ZZ:
-        sf = smith_normal_form(m, want_transforms=True)
-        V = sf.right
-        return [tuple(V.entry(i, j) for i in range(m.cols))
-                for j in range(sf.rank, m.cols)]
-    ech, kept = _column_echelon(m)
     dom = m.domain
+    ech, kept = _column_echelon(m.change_domain(QQ) if dom == ZZ else m)
     basis = []
     for f in sorted(set(range(m.cols)).difference(kept)):
-        v = [0] * m.cols
-        v[f] = 1
+        v = [dom.zero()] * m.cols
+        v[f] = dom.one()
         for pc, c in zip(kept, ech.coords(m.column(f))):
-            v[pc] = -c
-        basis.append(tuple(map(dom.normalize, v)))
-    return basis
+            v[pc] = dom.neg(c)
+        basis.append(v)
+    if dom == ZZ:
+        _saturate(basis, kept)
+    return [tuple(v) for v in basis]
+
+
+def _euclid_steps(vals):
+    """Euclid steps on a list of ints, until at most one is nonzero.
+
+    Each step vals[j] -= q * vals[i] (i != j) is applied, then yielded as
+    (i, j, q) for the caller to mirror on whatever vals are read from.
+    """
+    while True:
+        nz = [k for k, w in enumerate(vals) if w]
+        if len(nz) < 2:
+            return
+        i = min(nz, key=lambda k: abs(vals[k]))
+        for j in nz:
+            if j != i:
+                q = vals[j] // vals[i]
+                vals[j] -= q * vals[i]
+                yield i, j, q
+
+
+def _saturate(basis, positions):
+    """Make rational vectors a Z-basis of the integral points of their
+    Z-span, in place.
+
+    One position t at a time, with den the lcm of the denominators at t:
+    Euclid steps on the integers den * v[t], mirrored as v_j -= q v_i,
+    leave one vector nonzero at t, and it is scaled by
+    den / gcd(den * v[t], den).  The steps are unimodular and the scaling
+    keeps exactly the combinations integral at t, while positions done
+    before stay integral.  Vectors must be integral outside `positions`;
+    they end as lists of int.
+    """
+    for t in positions:
+        den = 1
+        for v in basis:
+            den = lcm(den, v[t].denominator)
+        if den == 1:
+            continue
+        vals = [int(v[t] * den) for v in basis]
+        for i, j, q in _euclid_steps(vals):
+            basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
+        g = next(k for k, w in enumerate(vals) if w)
+        s = den // gcd(vals[g], den)
+        basis[g] = [x * s for x in basis[g]]
+    for k, v in enumerate(basis):
+        basis[k] = [ZZ.normalize(x) for x in v]
 
 
 class Echelon:
@@ -633,13 +684,15 @@ class Echelon:
         return True
 
     def coords(self, row):
-        """Coordinates of row in the recorded basis, or NoSolution."""
+        """Coordinates of row in the recorded basis, normalized, or
+        NoSolution."""
         rest, comb = self._reduce(row)
         if rest:
             return NoSolution
-        out = [self.domain.zero()] * self.rank
+        dom = self.domain
+        out = [dom.zero()] * self.rank
         for k, v in comb.items():
-            out[k] = v
+            out[k] = dom.normalize(v)
         return tuple(out)
 
 
@@ -666,10 +719,10 @@ def solve(m, rhs):
     c = ech.coords(dict(enumerate(rhs)))
     if c is NoSolution:
         return NoSolution
-    x = [0] * m.cols
+    x = [m.domain.zero()] * m.cols
     for pc, v in zip(kept, c):
         x[pc] = v
-    return tuple(map(m.domain.normalize, x))
+    return tuple(x)
 
 
 # ---------------------------------------------------------------------------
@@ -680,44 +733,25 @@ def solve(m, rhs):
 class SmithForm:
     invariant_factors: tuple
     rank: int
-    left: object = None   # Mat over Z, rows transform
-    right: object = None  # Mat over Z, cols transform
 
 
-def _snf_dense(rows, ncols, transforms=False):
+def _snf_dense(m, ncols):
     """Classic elementary-operation SNF on a dense integer matrix.
 
     Pivot = nonzero entry of minimal absolute value (ties: smallest row,
     then column).  The pivot is grown to divide everything that remains
     before being recorded, so the divisibility chain holds by construction.
-    rows (a list of ncols-long int lists) is reduced in place.  Returns
-    the invariant factors; with transforms, also unimodular U, V (as Mat)
-    with U * rows * V diagonal.
+    m (a list of ncols-long int lists) is reduced in place.  Returns the
+    invariant factors.
     """
-    m = rows
     nrows = len(m)
-    U, V = ([[int(i == j) for j in range(k)] for i in range(k)]
-            if transforms else [] for k in (nrows, ncols))
 
-    def swap_rows(a, b):
-        m[a], m[b] = m[b], m[a]
-        if U:
-            U[a], U[b] = U[b], U[a]
+    def swap_cols(a, b):
+        for row in m:
+            row[a], row[b] = row[b], row[a]
 
     def addmul_row(dst, src, q):
         m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        if U:
-            U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
-
-    def swap_cols(a, b):
-        for block in (m, V):
-            for row in block:
-                row[a], row[b] = row[b], row[a]
-
-    def addmul_col(dst, src, q):
-        for block in (m, V):
-            for row in block:
-                row[dst] -= q * row[src]
 
     factors = []
     top = 0
@@ -731,7 +765,7 @@ def _snf_dense(rows, ncols, transforms=False):
         if best is None:
             break
         _, bi, bj = best
-        swap_rows(top, bi)
+        m[top], m[bi] = m[bi], m[top]
         swap_cols(top, bj)
         while True:
             piv = m[top][top]
@@ -743,14 +777,15 @@ def _snf_dense(rows, ncols, transforms=False):
                     if q:
                         addmul_row(i, top, q)
                     if m[i][top]:
-                        swap_rows(top, i)
+                        m[top], m[i] = m[i], m[top]
                         break
             else:
                 for j in range(top + 1, ncols):
                     if m[top][j]:
                         q = m[top][j] // piv
                         if q:
-                            addmul_col(j, top, q)
+                            for row in m:
+                                row[j] -= q * row[top]
                         if m[top][j]:
                             swap_cols(top, j)
                             break
@@ -762,23 +797,15 @@ def _snf_dense(rows, ncols, transforms=False):
                     if off is None:
                         break
                     addmul_row(top, off, -1)
-        if m[top][top] < 0 and U:
-            U[top] = [-x for x in U[top]]
         factors.append(abs(m[top][top]))
         top += 1
-    if not transforms:
-        return factors
-    return factors, Mat.from_rows(U, ZZ), Mat.from_rows(V, ZZ)
+    return factors
 
 
-def smith_normal_form(m, want_transforms=False):
-    """Invariant factors of an integer matrix; optionally the transforms."""
+def smith_normal_form(m):
+    """Invariant factors of an integer matrix."""
     if m.domain != ZZ:
         raise DomainNotField("smith_normal_form expects a Z matrix")
-    if want_transforms:
-        factors, left, right = _snf_dense(m.to_rows(), m.cols,
-                                         transforms=True)
-        return SmithForm(tuple(factors), len(factors), left, right)
     # a +-1 pivot divides everything, so unit pivots go first, sparsely;
     # what is left has no unit entry and goes to the dense core
     # the stored columns are the eliminated vectors: the invariant factors

@@ -18,6 +18,7 @@ from hochschild.algebra import (CATALOG_DEG2, CATALOG_DEG3, AlgebraError,
                                 sandwich_bimodule,
                                 structure_constants_ok, transpose_algebra,
                                 validate_splitting, verify_subalgebra)
+from hochschild.cohomology import cohomology_of
 from hochschild.exactla import GF, QQ, ZZ, Mat, rank, solve
 
 from _tabledata import ALL_NAMES, DEG2, DEG3, TRANSPOSE_PAIRS
@@ -163,6 +164,26 @@ def test_with_unit_first(name):
                 assert A1.member_coords(b) is not NoSolution
             for b in A1.basis:
                 assert A.member_coords(b) is not NoSolution
+
+
+def test_with_unit_first_over_z_without_a_unit_coordinate():
+    # N2 on the basis (-I + 3N, I - 2N): I = 2 b_1 + 3 b_2, so no unit
+    # coordinate is +-1 and Euclid steps must make one first
+    I, N = Mat.identity(2, ZZ), Mat.from_rows(E12, ZZ)
+    A = verify_subalgebra(2, ZZ, [I.scale(-1).add(N.scale(3)),
+                                  I.add(N.scale(-2))], name="N2'")
+    assert A.unit_coords == (2, 3)
+    A1 = A.with_unit_first()
+    assert A1.basis[0] == I and A1.dim == 2
+    assert A1.with_unit_first() is A1
+    # unimodular: each basis has integer coordinates in the other
+    for X, Y in ((A, A1), (A1, A)):
+        for b in X.basis:
+            assert Y.member_coords(b) is not NoSolution
+    want = cohomology_of(catalog("N2", ZZ), degrees=range(5)).records
+    for method in ("reduced", "bar", "auto"):
+        assert cohomology_of(A, method=method,
+                             degrees=range(5)).records == want, method
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,14 @@ def test_exit_code_malformed_file(tmp_path, capsys):
     assert rc == 3
 
 
+def test_exit_code_boolean_n(tmp_path, capsys):
+    # true == 1 in Python, and a 1x1 basis would otherwise pass as n = 1
+    path = tmp_path / "bool_n.json"
+    path.write_text(json.dumps({"name": "T", "n": True, "basis": [[[1]]]}))
+    rc, out, err = run(capsys, "compute", "--file", str(path))
+    assert rc == 3 and not out and "n must be a positive integer" in err
+
+
 def test_exit_code_budget(capsys):
     rc, _, err = run(capsys, "compute", "--algebra", "S4",
                      "--method", "bar", "--size-budget", "100")

@@ -58,7 +58,7 @@ def test_normalizer_against_tables():
                 table_normalizer_dim(name, char), (name, char)
 
 
-@pytest.mark.parametrize("dom", [QQ, GF(2)])
+@pytest.mark.parametrize("dom", [QQ, GF(2), ZZ])
 def test_normalizer_of_projective_plane_incidence_algebra(dom):
     # the face poset of the 6-vertex RP^2: n = 31, d = 121, a stacked
     # system of 101,640 x 961 that must never be densified
@@ -66,7 +66,15 @@ def test_normalizer_of_projective_plane_incidence_algebra(dom):
     A = verify_subalgebra(n, dom, [Mat(n, n, dom, {xy: 1}) for xy in leq])
     basis, dim = normalizer(A)
     assert dim == len(basis) == A.dim == 121
-    assert dim - A.dim == cohomology_of(A, degrees=[0])[0]["dim"]
+    h0 = cohomology_of(A, degrees=[0])[0]
+    assert dim - A.dim == h0.get("dim", h0.get("free_rank"))
+
+
+def test_normalizer_and_tangent_of_b10_agree_over_z_and_q():
+    # over Z the normalizer is a saturated lattice of the same rank
+    over = {dom: catalog("B10", dom) for dom in (QQ, ZZ)}
+    assert normalizer_dim(over[ZZ]) == normalizer_dim(over[QQ]) == 55
+    assert tangent_dimension(over[ZZ]) == tangent_dimension(over[QQ])
 
 
 # ---------------------------------------------------------------------------

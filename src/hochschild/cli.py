@@ -328,8 +328,11 @@ def _compute_csv(doc):
 
 def _write_out(text, path):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError("cannot write %s: %s" % (path, e))
     else:
         sys.stdout.write(text)
 

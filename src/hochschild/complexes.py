@@ -24,7 +24,7 @@ cup product is provided for bar/reduced cochains with an explicit
 coefficient pairing.
 """
 
-from itertools import repeat
+from functools import cached_property
 
 from .algebra import (AlgebraError, _bimodule_from_units, catalog,
                       detect_splitting, quotient_bimodule)
@@ -43,7 +43,13 @@ class DegreeOverflow(ValueError):
 
 
 class CochainComplex:
-    """Cochain spaces C^0..C^D with differentials d^0..d^{D-1}."""
+    """Cochain spaces C^0..C^D with differentials d^0..d^{D-1}.
+
+    `labels` gives, per degree, the label of each coordinate, or is a
+    function returning them: the word complexes pass one, so labels are
+    built on first read and not at all by a pipeline that reads only the
+    differentials.
+    """
 
     def __init__(self, method_tag, domain, ranks, diffs, labels,
                  algebra=None, module=None):
@@ -51,7 +57,7 @@ class CochainComplex:
         self.domain = domain
         self.ranks = tuple(ranks)
         self.diffs = tuple(diffs)
-        self.labels = tuple(tuple(l) for l in labels)
+        self._make_labels = labels if callable(labels) else lambda: labels
         self.algebra = algebra
         self.module = module
         self.top_degree = len(self.ranks) - 1
@@ -66,6 +72,10 @@ class CochainComplex:
                 raise RuntimeError(
                     "d^%d . d^%d is nonzero (%s)" % (p + 1, p, method_tag))
         self.dd_verified = True
+
+    @cached_property
+    def labels(self):
+        return tuple(tuple(l) for l in self._make_labels())
 
     def col_index(self, p):
         if p not in self._index:
@@ -158,6 +168,9 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     "%r, %r has a component off their blocks" % (u, v))
             prodmap[k].append((u, v, c))
 
+    def block(w):
+        return grading[w[0]][0], grading[w[-1]][1]
+
     def column_blocks(p, offsets):
         """(word, first column, coordinates, their block) per block of
         columns of C^p; in degree 0 each coordinate is its own block."""
@@ -165,7 +178,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
             for j, q in enumerate(diag):
                 yield (), j, (q,), comp[q]
         for w, base in offsets.items():
-            st = grading[w[0]][0], grading[w[-1]][1]
+            st = block(w)
             yield w, base, by_block[st], st
 
     def raw_columns(p, offsets, rowoff, row_ints):
@@ -192,24 +205,31 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     col[key] = get(key, 0) + val
                 yield base + t, col
 
-    labels = [tuple(((), q) for q in diag)]
-    diffs = []
-    words = [(k,) for k in letters if grading[k][0] in live]
-    rowoff = {}
-    for p in range(top_degree):
-        if p:
-            words = [w + (k,) for w in words
-                     for k in out_of.get(grading[w[-1]][1], ())]
-        cols, rowoff, label = rowoff, {}, []
-        for w in words:
-            qs = by_block.get((grading[w[0]][0], grading[w[-1]][1]))
-            if qs:
-                rowoff[w] = len(label)
-                label += zip(repeat(w), qs)
-        labels.append(tuple(label))
-        # stored columns share these int objects as their row keys, and
-        # indexing them bounds every row (Mat.from_columns does not check)
-        row_ints = list(range(ranks[p + 1]))
+    def word_offsets():
+        """{word: its first row} in C^p for p = 1..top_degree in turn, over
+        the words of p letters whose block has coordinates."""
+        words = [(k,) for k in letters if grading[k][0] in live]
+        for p in range(top_degree):
+            if p:
+                words = [w + (k,) for w in words
+                         for k in out_of.get(grading[w[-1]][1], ())]
+            offsets, n = {}, 0
+            for w in words:
+                if qs := by_block.get(block(w)):
+                    offsets[w], n = n, n + len(qs)
+            yield offsets
+
+    def labels():
+        yield [((), q) for q in diag]
+        for offsets in word_offsets():
+            yield [(w, q) for w in offsets for q in by_block[block(w)]]
+
+    diffs, rowoff = [], {}
+    for p, offsets in enumerate(word_offsets()):
+        cols, rowoff = rowoff, offsets
+        # row keys index a range, which bounds every row (Mat.from_columns
+        # does not check)
+        row_ints = range(ranks[p + 1])
         diffs.append(Mat.from_columns(ranks[p + 1], ranks[p], dom,
                                       raw_columns(p, cols, rowoff, row_ints)))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)

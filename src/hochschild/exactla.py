@@ -38,6 +38,9 @@ row is the shortest eligible row, ties broken by index, popped from a lazy
 min-heap instead of found by a scan.  Within that row the pivot is the
 eligible entry whose column is shortest, where eligible means +-1 over Z
 and in the first phase of rank over Q, and any nonzero entry over F_p.
+Column lengths come from an index of the rows holding each column, kept
+as a list per column: a list costs a fraction of a set's memory, and no
+row is ever listed twice.
 Rows left without a unit take the entry of least magnitude in the second
 phase of rank over Q, and go to a small dense Smith form over Z.  Pivot
 order affects speed only, never the answer.
@@ -447,16 +450,20 @@ def _eliminate(live, choose, update):
     The pivot row is the shortest eligible row, ties broken by index, taken
     from a lazy min-heap keyed on (length, index): a popped entry is stale
     when its row is gone or has changed length, and every rewritten row is
-    pushed afresh.  choose(row, col_index) returns the row's pivot column,
-    or None when the row is not eligible; update(prow, pj, trow) returns a
-    new row: trow with column pj cleared, differing from trow only in
-    columns of prow, and empty when nothing is left.  Returns the pivot
-    columns, in the order taken, and the rows left over, none eligible.
+    pushed afresh.  col_index lists, per column, the rows holding it: a row
+    is appended only when an update brings the column in and removed when
+    it loses it, so no row is listed twice and each list's length is the
+    column's; the pivot column's list is dropped whole, as no row keeps
+    that column.  choose(row, col_index) returns the row's pivot column, or
+    None when the row is not eligible; update(prow, pj, trow) returns a new
+    row: trow with column pj cleared, differing from trow only in columns
+    of prow, and empty when nothing is left.  Returns the pivot columns, in
+    the order taken, and the rows left over, none eligible.
     """
-    col_index = defaultdict(set)
+    col_index = defaultdict(list)
     for i, r in live.items():
         for j in r:
-            col_index[j].add(i)
+            col_index[j].append(i)
     # heap keys are length * stride + index: ints order faster than tuples
     stride = max(live, default=0) + 1
     heap = [len(r) * stride + i for i, r in live.items()]
@@ -472,19 +479,22 @@ def _eliminate(live, choose, update):
             continue
         del live[pi]
         pivots.append(pj)
-        for j in prow:
-            col_index[j].discard(pi)
-        targets, col_index[pj] = col_index[pj], set()
-        for t in targets:
+        # column pj leaves every row, so its list is dropped, not edited
+        others = [j for j in prow if j != pj]
+        for j in others:
+            col_index[j].remove(pi)
+        for t in col_index.pop(pj):
+            if t == pi:
+                continue
             trow = live[t]
             new = update(prow, pj, trow)
             # an update changes a row only in the pivot row's columns
-            for j in prow:
+            for j in others:
                 if j in new:
                     if j not in trow:
-                        col_index[j].add(t)
+                        col_index[j].append(t)
                 elif j in trow:
-                    col_index[j].discard(t)
+                    col_index[j].remove(t)
             if new:
                 live[t] = new
                 heappush(heap, len(new) * stride + t)

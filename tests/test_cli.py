@@ -317,6 +317,17 @@ def test_exit_code_missing_file(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "--algebra", "N2"),
+    ("table", "--degree", "2", "--ring", "F2")], ids=["compute", "table"])
+def test_exit_code_unwritable_out(tmp_path, capsys, argv):
+    # a missing directory and a directory are both refused as usage errors
+    for path in ("/nonexistent/x.json", str(tmp_path)):
+        rc, out, err = run(capsys, *argv, "--out", path)
+        assert rc == 2 and not out
+        assert err.startswith("error: cannot write %s: " % path)
+
+
 def test_exit_code_malformed_file(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{ not json")

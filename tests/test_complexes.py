@@ -12,6 +12,7 @@ from hochschild.algebra import (AlgebraError, Bimodule, catalog,
                                 detect_splitting, ideal_quotient_bimodule,
                                 quotient_bimodule, regular_bimodule,
                                 sandwich_bimodule)
+from hochschild.cohomology import compute_cohomology
 from hochschild.complexes import (DEFAULT_SIZE_BUDGET, Cochain,
                                   CochainComplex, DegreeOverflow, SizeBudgetExceeded,
                                   apply_d, bar_complex, cibils_complex,
@@ -225,13 +226,62 @@ def test_budget_is_checked_before_any_word(monkeypatch, build, name, top):
     assert peak < 2 ** 18
 
 
+def _eager_labels(cx, letters, grading=None, comp=None):
+    """The labels of a word complex, enumerated from scratch: degree by
+    degree, the composable words in lexicographic order of letter
+    positions, each followed by the coordinates of its block."""
+    if grading is None:
+        grading = dict.fromkeys(letters, (0, 0))
+        comp = [(0, 0)] * cx.module.dim
+    block_of = {}
+    for q, st in enumerate(comp):
+        block_of.setdefault(st, []).append(q)
+    labels = [tuple(((), q) for q, (s, t) in enumerate(comp) if s == t)]
+    words = [()]
+    for p in range(1, cx.top_degree + 1):
+        words = [w + (k,) for w in words for k in letters
+                 if not w or grading[w[-1]][1] == grading[k][0]]
+        labels.append(tuple(
+            (w, q) for w in words
+            for q in block_of.get((grading[w[0]][0], grading[w[-1]][1]), ())))
+    return tuple(labels)
+
+
 @pytest.mark.parametrize("name", ["S6", "S11", "N3", "B3", "S14", "N2xD1"])
 def test_ranks_count_the_labels(name):
-    # ranks are counted before any word is built; the labels enumerate them
+    # ranks are counted before any word is built; the labels, built on
+    # first read, enumerate them in the order of an eager walk
+    A = catalog(name, QQ)
     for build in BUILDERS:
-        cx = build(catalog(name, QQ), top_degree=4)
+        cx = build(A, top_degree=4)
         assert cx.ranks == tuple(len(lab) for lab in cx.labels)
         assert all(len(set(lab)) == len(lab) for lab in cx.labels)
+        if build is bar_complex:
+            want = _eager_labels(cx, range(A.dim))
+        elif build is reduced_bar_complex:
+            want = _eager_labels(cx, range(1, cx.algebra.dim))
+        else:
+            sp = detect_splitting(A)
+            M = cx.module
+            idem = [k for k in range(A.dim) if k not in sp.radical_indices]
+
+            def block(mats, q):
+                return next(t for t, e in enumerate(mats) if e.column(q))
+            comp = [(block([M.left[k] for k in idem], q),
+                     block([M.right[k] for k in idem], q))
+                    for q in range(M.dim)]
+            want = _eager_labels(cx, range(len(sp.radical_indices)),
+                                 sp.bigrading, comp)
+        assert cx.labels == want
+
+
+def test_pipeline_builds_no_labels():
+    # the differentials and their ranks never read a label, so none is built
+    A = catalog("S11", GF(2))
+    cx = reduced_bar_complex(A, top_degree=6)
+    compute_cohomology(cx)
+    assert "labels" not in vars(cx)
+    assert cx.labels[1][0] == ((1,), 0) and "labels" in vars(cx)
 
 
 def test_reduced_needs_unit_first_basis():

@@ -7,7 +7,12 @@ coordinates of the identity; over Z it additionally checks that the span is
 a direct summand of M_n(Z), so the quotient is a free module.  All
 coordinates are read from one echelon form of the basis (`exactla.Echelon`,
 over Q when the algebra lives over Z), built once at validation and kept on
-the algebra.
+the algebra, and all are stored as Echelon.coords returns them, sparse
+{index: nonzero scalar}: the structure constants, the unit, member
+coordinates, the radical products of a splitting and the pairings of the
+regular and ideal-quotient bimodules.  A product of incidence-algebra
+units is one unit or zero, so most of the d^2 products are {} and cost
+their readers nothing.
 
 The module also builds the coefficient bimodules used by the cochain
 complexes:
@@ -97,7 +102,7 @@ def _coords_in(span, domain, m):
     sol = span.coords(_flat(m))
     if sol is NoSolution or domain != ZZ:
         return sol
-    return NoSolution if any(type(v) is not int for v in sol) else sol
+    return NoSolution if any(type(v) is not int for v in sol.values()) else sol
 
 
 def _unit_matrix(n, i, j, domain):
@@ -128,7 +133,9 @@ class Algebra:
         self.basis = tuple(basis)
         self.dim = len(basis)
         self.name = name
-        self.mult = mult          # mult[i][j] = coords of basis[i]*basis[j]
+        # mult[i][j]: basis[i] * basis[j] as {k: nonzero coordinate}, the
+        # format of Echelon.coords; unit_coords: I_n in the same format
+        self.mult = mult
         self.unit_coords = unit_coords
         self.meta = dict(meta or {})
         self._span = span         # echelon form of the basis
@@ -136,7 +143,8 @@ class Algebra:
         self._split = None        # (re-basing, splitting), validate_splitting
 
     def member_coords(self, m):
-        """Coordinates of a matrix in the basis, or NoSolution."""
+        """Coordinates of a matrix in the basis as {k: nonzero scalar}, or
+        NoSolution (over Z also when they are not integers)."""
         return _coords_in(self._span, self.domain, m)
 
     def unit_matrix(self):
@@ -152,10 +160,10 @@ class Algebra:
         b_i += q b_j, make one so first; every step is unimodular.  Returns
         self when the basis already starts with I_n.
         """
-        dom, u = self.domain, list(self.unit_coords)
-        if u[0] == 1 and not any(u[1:]):
+        if self.unit_coords == {0: 1}:
             return self
-        basis = list(self.basis)
+        dom, basis = self.domain, list(self.basis)
+        u = [self.unit_coords.get(k, 0) for k in range(self.dim)]
         if dom == ZZ and 1 not in u and -1 not in u:
             for i, j, q in _euclid_steps(u):
                 basis[i] = basis[i].add(basis[j].scale(q))
@@ -187,10 +195,9 @@ def mat_inverse(m):
     if len(kept) != n:
         raise NotInvertible("matrix is singular")
     cols = [ech.coords({j: 1}) for j in range(n)]
-    if dom == ZZ and any(type(v) is not int for c in cols for v in c):
+    if dom == ZZ and any(type(v) is not int for c in cols for v in c.values()):
         raise NotInvertible("matrix is not unimodular")
-    return Mat.from_columns(n, n, dom, (
-        (j, dict(enumerate(c))) for j, c in enumerate(cols)))
+    return Mat.from_columns(n, n, dom, enumerate(cols))
 
 
 def verify_subalgebra(n, domain, basis, name=None):
@@ -227,30 +234,33 @@ def verify_subalgebra(n, domain, basis, name=None):
 
 
 def structure_constants_ok(A):
-    """Direct associativity and unit-law assertions over all index triples."""
-    d = A.dim
-    dom = A.domain
-    c = A.mult
-    for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                for t in range(d):
-                    lhs = sum(c[i][j][s] * c[s][l][t] for s in range(d))
-                    rhs = sum(c[j][l][s] * c[i][s][t] for s in range(d))
-                    if not dom.is_zero(dom.sub(dom.normalize(lhs),
-                                               dom.normalize(rhs))):
-                        return False
-    e = A.unit_coords
+    """(a_i a_j) a_l = a_i (a_j a_l) for every triple and e a_j = a_j = a_j e
+    for every j, with e the unit, asserted on the structure constants.
+
+    Both sides are sparse sums of rows of c; a triple with c[i][j] and
+    c[j][l] both empty has 0 = 0 and is passed without arithmetic.
+    """
+    d, norm, c = A.dim, A.domain.normalize, A.mult
+
+    def combo(terms):
+        """sum of v * vec over the (v, vec) terms, as {k: nonzero}."""
+        acc = {}
+        for v, vec in terms:
+            for k, w in vec.items():
+                acc[k] = acc.get(k, 0) + v * w
+        return {k: w for k, x in acc.items() if (w := norm(x))}
+
     for j in range(d):
-        for k in range(d):
-            left = sum(e[i] * c[i][j][k] for i in range(d))
-            right = sum(e[i] * c[j][i][k] for i in range(d))
-            want = 1 if j == k else 0
-            if (not dom.is_zero(dom.sub(dom.normalize(left), dom.normalize(want)))
-                    or not dom.is_zero(dom.sub(dom.normalize(right),
-                                               dom.normalize(want)))):
-                return False
-    return True
+        live = [l for l in range(d) if c[j][l]]
+        for i in range(d):
+            cij = c[i][j]
+            for l in range(d) if cij else live:
+                if (combo((v, c[s][l]) for s, v in cij.items())
+                        != combo((v, c[i][s]) for s, v in c[j][l].items())):
+                    return False
+    e = A.unit_coords.items()
+    return all(combo((v, c[i][j]) for i, v in e) == {j: 1}
+               == combo((v, c[j][i]) for i, v in e) for j in range(d))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +342,7 @@ def _bimodule_from_units(A, kept, name):
     # pcols[t]: column t of proj as [(row, value)]
     pcols = [[] for _ in range(n * n)]
     for t, q in pos.items():
-        pcols[t].append((q, dom.one()))
+        pcols[t].append((q, 1))
     for (i, t), v in ginv.mul(span).items():
         if t in pos:
             pcols[P[i]].append((pos[t], dom.normalize(-v)))
@@ -363,19 +373,14 @@ def _bimodule_from_units(A, kept, name):
 
 def regular_bimodule(A):
     """A as a bimodule over itself, with its multiplication pairing."""
-    d, dom = A.dim, A.domain
-    left, right = [], []
-    for i in range(d):
-        lent = {(k, j): v for j in range(d)
-                for k, v in enumerate(A.mult[i][j]) if not dom.is_zero(v)}
-        rent = {(k, j): v for j in range(d)
-                for k, v in enumerate(A.mult[j][i]) if not dom.is_zero(v)}
-        left.append(Mat(d, d, dom, lent))
-        right.append(Mat(d, d, dom, rent))
+    d, dom, c = A.dim, A.domain, A.mult
+    # a_i acts on a_j by column j = c[i][j] (left) or c[j][i] (right)
+    left = [Mat.from_columns(d, d, dom, enumerate(c[i])) for i in range(d)]
+    right = [Mat.from_columns(d, d, dom, ((j, c[j][i]) for j in range(d)))
+             for i in range(d)]
     bm = Bimodule(A, [("alg", j) for j in range(d)], left, right,
                   name="%s as bimodule" % (A.name or "A"))
-    pairing = tuple(tuple(A.mult[i][j] for j in range(d)) for i in range(d))
-    return bm, pairing
+    return bm, c
 
 
 def ideal_quotient_bimodule(A, ideal_indices):
@@ -384,35 +389,29 @@ def ideal_quotient_bimodule(A, ideal_indices):
     Returns (bimodule, pairing) where the pairing is the multiplication of
     the quotient algebra A/J on itself.
     """
-    dom = A.domain
-    ideal = sorted(set(ideal_indices))
-    iset = set(ideal)
-    kept = [j for j in range(A.dim) if j not in iset]
+    dom, c = A.domain, A.mult
+    ideal = set(ideal_indices)
+    kept = [j for j in range(A.dim) if j not in ideal]
     for i in range(A.dim):
         for j in ideal:
-            for side in (A.mult[i][j], A.mult[j][i]):
-                if any(not dom.is_zero(dom.normalize(side[k])) for k in kept):
-                    raise AlgebraError(
-                        "spanned subspace is not a two-sided ideal")
+            if not ideal.issuperset(c[i][j]) or not ideal.issuperset(c[j][i]):
+                raise AlgebraError("spanned subspace is not a two-sided ideal")
     pos = {j: q for q, j in enumerate(kept)}
+
+    def cls(vec):
+        """The class of a coordinate vector modulo the ideal."""
+        return {pos[k]: v for k, v in vec.items() if k in pos}
+
     m = len(kept)
-    left, right = [], []
-    for i in range(A.dim):
-        lent, rent = {}, {}
-        for q, j in enumerate(kept):
-            for k in kept:
-                v = A.mult[i][j][k]
-                if not dom.is_zero(dom.normalize(v)):
-                    lent[(pos[k], q)] = v
-                w = A.mult[j][i][k]
-                if not dom.is_zero(dom.normalize(w)):
-                    rent[(pos[k], q)] = w
-        left.append(Mat(m, m, dom, lent))
-        right.append(Mat(m, m, dom, rent))
+    left = [Mat.from_columns(m, m, dom, ((q, cls(c[i][j]))
+                                         for q, j in enumerate(kept)))
+            for i in range(A.dim)]
+    right = [Mat.from_columns(m, m, dom, ((q, cls(c[j][i]))
+                                          for q, j in enumerate(kept)))
+             for i in range(A.dim)]
     bm = Bimodule(A, [("class", j) for j in kept], left, right,
                   name="%s mod ideal" % (A.name or "A"))
-    pairing = tuple(tuple(tuple(A.mult[kept[s]][kept[t]][k] for k in kept)
-                          for t in range(m)) for s in range(m))
+    pairing = tuple(tuple(cls(c[s][t]) for t in kept) for s in kept)
     return bm, pairing
 
 
@@ -424,7 +423,6 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
     sides, and the denominator span must sit inside the numerator span.
     """
     n, dom = A.n, A.domain
-    fdom = QQ if dom == ZZ else dom
 
     def unit(ij):
         i, j = ij
@@ -444,26 +442,20 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
         sol = space.coords(_flat(mat))
         if sol is NoSolution:
             raise AlgebraError("span is not stable under the algebra action")
-        return sol[dden:]
+        return {k - dden: v for k, v in sol.items() if k >= dden}
 
-    left, right = [], []
-    for a in A.basis:
-        lent, rent = {}, {}
-        for q, (_, u) in enumerate(kept):
-            for p, v in enumerate(cls(a.mul(u))):
-                if not fdom.is_zero(v):
-                    lent[(p, q)] = v
-            for p, v in enumerate(cls(u.mul(a))):
-                if not fdom.is_zero(v):
-                    rent[(p, q)] = v
-        left.append(Mat(m, m, dom, lent))
-        right.append(Mat(m, m, dom, rent))
+    left = [Mat.from_columns(m, m, dom, ((q, cls(a.mul(u)))
+                                         for q, (_, u) in enumerate(kept)))
+            for a in A.basis]
+    right = [Mat.from_columns(m, m, dom, ((q, cls(u.mul(a)))
+                                          for q, (_, u) in enumerate(kept)))
+             for a in A.basis]
     # stability of the denominator span on its own
     for a in A.basis:
         for u in den:
             for prod in (a.mul(u), u.mul(a)):
                 sol = space.coords(_flat(prod))
-                if sol is NoSolution or any(sol[dden:]):
+                if sol is NoSolution or any(k >= dden for k in sol):
                     raise AlgebraError(
                         "denominator span is not a sub-bimodule")
     tags = [("unit", t[0] - 1, t[1] - 1) for t, _ in kept]
@@ -478,24 +470,18 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
 class Splitting:
     """Orthogonal 0/1 diagonal idempotents plus a bigraded radical basis."""
 
-    def __init__(self, idempotents, blocks, radical, radical_indices,
-                 bigrading, block_of_row):
+    def __init__(self, idempotents, radical, radical_indices, bigrading,
+                 radical_products):
         self.idempotents = tuple(idempotents)  # Mat, one per block
-        self.blocks = tuple(blocks)            # tuple of sorted row tuples
         self.radical = tuple(radical)          # Mat
         self.radical_indices = tuple(radical_indices)  # into A.basis
         self.bigrading = tuple(bigrading)      # (t, u) block ids, 0-based
-        self.block_of_row = tuple(block_of_row)
+        # (i, j) -> radical[i] * radical[j] as {k: nonzero coordinate}
+        self.radical_products = radical_products
 
     def __repr__(self):
         return "Splitting(%d idempotents, radical rank %d)" % (
             len(self.idempotents), len(self.radical))
-
-
-def _is_zero_one(A, m):
-    dom = A.domain
-    one = dom.one()
-    return all(v == one for _, v in m.items())
 
 
 def detect_splitting(A):
@@ -511,14 +497,14 @@ def detect_splitting(A):
     n, dom = A.n, A.domain
     diag, offd, offd_idx = [], [], []
     for k, b in enumerate(A.basis):
-        if not _is_zero_one(A, b):
+        if any(v != 1 for _, v in b.items()):
             raise NotSplit("basis entry %d is not a 0/1 matrix" % (k + 1))
         positions = {ij for ij, _ in b.items()}
         if not positions:
             raise NotSplit("zero basis matrix")
         on_diag = {p for p in positions if p[0] == p[1]}
         if on_diag == positions:
-            diag.append((k, b))
+            diag.append(b)
         elif not on_diag:
             offd.append(b)
             offd_idx.append(k)
@@ -528,16 +514,11 @@ def detect_splitting(A):
     if not diag:
         raise NotSplit("no diagonal idempotent candidates")
     covered = {}
-    blocks = []
-    idempotents = []
-    for t, (k, b) in enumerate(diag):
-        rows = sorted(i for (i, _), _ in b.items())
-        for i in rows:
+    for t, b in enumerate(diag):
+        for (i, _), _ in b.items():
             if i in covered:
                 raise NotSplit("diagonal supports are not orthogonal")
             covered[i] = t
-        blocks.append(tuple(rows))
-        idempotents.append(b)
     if len(covered) != n:
         raise NotSplit("diagonal idempotents do not sum to the identity")
     block_of_row = tuple(covered[i] for i in range(n))
@@ -566,10 +547,7 @@ def detect_splitting(A):
     else:
         if not all(x.is_zero() for x in layer):
             raise NotSplit("radical is not nilpotent")
-    sp = Splitting(idempotents, blocks, offd, offd_idx, bigrading,
-                   block_of_row)
-    sp.radical_products = products
-    return sp
+    return Splitting(diag, offd, offd_idx, bigrading, products)
 
 
 def validate_splitting(A, idempotent_mats, radical_mats):
@@ -797,7 +775,7 @@ def _parabolic_basis(parts, domain):
 def catalog(name, domain, params=None):
     """A named subalgebra (table entries and the classical families)."""
     key = str(name).strip().upper().replace(",", "").replace("_", "")
-    key = key.replace("X", "x").replace("xD1", "xD1")
+    key = key.replace("X", "x")
     # normalize product names like "M2XD1"
     if "x" in key:
         key = "x".join(s.upper() for s in key.split("x"))
@@ -805,8 +783,6 @@ def catalog(name, domain, params=None):
         shapes = _SHAPES_DEG2.get(key) or _SHAPES_DEG3.get(key)
         A = verify_subalgebra(len(shapes), domain,
                               _shape_basis(shapes, domain), name=key)
-        A.meta["catalog"] = key
-        A.meta["degree"] = 2 if key in _SHAPES_DEG2 else 3
         if key == "J3":
             A.meta["family"] = ("J", 3)
         return A
@@ -825,9 +801,6 @@ def catalog(name, domain, params=None):
     if fam == "J":
         A = verify_subalgebra(n, domain, _jn_basis(n, domain), name="J%d" % n)
         A.meta["family"] = ("J", n)
-        if n == 3:
-            A.meta["catalog"] = "J3"
-            A.meta["degree"] = 3
         return A
     if fam == "M":
         basis = [_unit_matrix(n, i, j, domain)

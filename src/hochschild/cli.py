@@ -279,17 +279,7 @@ def result_document(A, ring_str, res, report=None):
         "H": [_h_record(r) for r in res.records],
     }
     if report is not None:
-        doc["moduli"] = {
-            "normalizer_dim": report.normalizer_dim,
-            "h0": _h_record(report.h0),
-            "h1": _h_record(report.h1),
-            "h2": _h_record(report.h2),
-            "tangent_dim": report.tangent_dim,
-            "smooth": report.smooth_certificate,
-            "orbit_open": report.orbit_open_certificate,
-        }
-        if report.caveat:
-            doc["moduli"]["caveat"] = report.caveat
+        doc["moduli"] = report.to_dict()
     return doc
 
 

@@ -144,7 +144,7 @@ def pick_method(A):
         return "reduced", None
 
 
-def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
+def cohomology_of(A, method="auto", degrees=range(0, 5),
                   budget=DEFAULT_SIZE_BUDGET):
     """Cohomology of A with coefficients in the canonical quotient bimodule.
 
@@ -154,8 +154,6 @@ def cohomology_of(A, method="auto", degrees=range(0, 5), top_degree=None,
     """
     degs = _sorted_degrees(degrees)
     need_top = degs[-1] + 1
-    if top_degree is not None:
-        need_top = max(need_top, top_degree)
     target = None
     if method == "auto":
         method, target = pick_method(A)

@@ -102,9 +102,10 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     `letters` maps each letter's name, in increasing order, to its index in
     A.basis; words are tuples of names.  `grading` gives each letter's
     (source, target) block and `comp` each coordinate's block (default: one
-    block for all); products[u, v] holds the product's coordinates over the
-    names (default: A.mult).  C^0 takes the coordinates of blocks with
-    source = target.
+    block for all); products[u, v] holds the product's coordinates as
+    {name: nonzero scalar} (default: A.mult), where a key that names no
+    letter, the unit of the reduced complex, is left out.  C^0 takes the
+    coordinates of blocks with source = target.
     """
     dom = A.domain
     if grading is None:
@@ -157,9 +158,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
             k, M.right[letters[k]], qs, (s, grading[k][1])))]
     prodmap = {k: [] for k in letters}
     for (u, v), coords in products.items():
-        for k in letters:
-            c = dom.normalize(coords[k])
-            if dom.is_zero(c):
+        for k, c in coords.items():
+            if k not in prodmap:
                 continue
             if (grading[u][0], grading[u][1], grading[v][1]) != (
                     grading[k][0], grading[v][0], grading[k][1]):
@@ -278,7 +278,6 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     sp = splitting if splitting is not None else detect_splitting(A)
     if M is None:
         M = quotient_bimodule(A)
-    dom = A.domain
     idem_idx = [k for k in range(A.dim) if k not in sp.radical_indices]
     nb = len(sp.idempotents)
 
@@ -288,7 +287,7 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
 
     def _pick(mats, q):
         hits = [t for t in range(nb) if mats[t].column(q)]
-        if len(hits) == 1 and mats[hits[0]].column(q) == {q: dom.one()}:
+        if len(hits) == 1 and mats[hits[0]].column(q) == {q: 1}:
             return hits[0]
         return None
 
@@ -360,31 +359,26 @@ class Cochain:
     def from_values(cls, cx, degree, values):
         """Build from a {label: value} mapping (missing labels are 0)."""
         idx = cx.col_index(degree)
-        coords = [cx.domain.zero()] * cx.ranks[degree]
+        coords = [0] * cx.ranks[degree]
         for lab, v in values.items():
-            coords[idx[lab]] = cx.domain.normalize(v)
+            coords[idx[lab]] = v
         return cls(cx, degree, coords)
 
     def value(self, label):
         return self.coords[self.cx.col_index(self.degree)[label]]
 
     def is_zero(self):
-        dom = self.cx.domain
-        return all(dom.is_zero(v) for v in self.coords)
+        return not any(self.coords)
 
     def add(self, other):
         if other.cx is not self.cx or other.degree != self.degree:
             raise ValueError("cochain mismatch")
-        dom = self.cx.domain
         return Cochain(self.cx, self.degree,
-                       [dom.add(a, b) for a, b in zip(self.coords,
-                                                      other.coords)])
+                       [a + b for a, b in zip(self.coords, other.coords)])
 
     def scale(self, c):
-        dom = self.cx.domain
-        c = dom.normalize(c)
-        return Cochain(self.cx, self.degree,
-                       [dom.mul(c, v) for v in self.coords])
+        c = self.cx.domain.normalize(c)
+        return Cochain(self.cx, self.degree, [c * v for v in self.coords])
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and other.cx is self.cx
@@ -408,8 +402,8 @@ def cup_product(f, g, pairing, target):
     """Concatenation-of-words product with coefficients paired bilinearly.
 
     f and g live on bar/reduced complexes over the same algebra; `pairing`
-    maps module-basis index pairs to coordinate tuples in the target
-    complex's module: pairing[q1][q2][q_out].
+    maps module-basis index pairs to coordinates in the target complex's
+    module: pairing[q1][q2] = {q_out: nonzero scalar}.
     """
     if f.cx.method_tag not in ("bar", "reduced"):
         raise ValueError("cup product is defined on bar/reduced complexes")
@@ -421,24 +415,19 @@ def cup_product(f, g, pairing, target):
     if p + q > target.top_degree:
         raise DegreeOverflow("degree %d exceeds truncation %d"
                              % (p + q, target.top_degree))
-    dom = target.domain
-    out = [dom.zero()] * target.ranks[p + q]
+    out = [0] * target.ranks[p + q]
     idx = target.col_index(p + q)
     flabels = f.cx.labels[p]
     glabels = g.cx.labels[q]
+    # cochain coordinates are normalized, so a zero one is falsy
     for i, fv in enumerate(f.coords):
-        if dom.is_zero(fv):
+        if not fv:
             continue
         wf, qf = flabels[i]
         for j, gv in enumerate(g.coords):
-            if dom.is_zero(gv):
+            if not gv:
                 continue
             wg, qg = glabels[j]
-            coef = dom.mul(fv, gv)
-            for qo, pv in enumerate(pairing[qf][qg]):
-                pv = dom.normalize(pv)
-                if dom.is_zero(pv):
-                    continue
-                col = idx[(wf + wg, qo)]
-                out[col] = dom.add(out[col], dom.mul(coef, pv))
+            for qo, pv in pairing[qf][qg].items():
+                out[idx[(wf + wg, qo)]] += fv * gv * pv
     return Cochain(target, p + q, out)

@@ -20,12 +20,19 @@ are the answer.  Over Z the kernel vectors e_f - sum c_k e_{kept_k} are
 then saturated in place by unimodular steps, one kept position at a time:
 no transform matrix is ever formed.
 
-Matrices are stored by column, {col: {row: nonzero scalar}} (Saad, Iterative
-Methods for Sparse Linear Systems, 3.4), so complexes are built, multiplied
-and eliminated column by column.  Scalars over Q are `int` when integral and
-`Fraction` otherwise (arithmetic may leave a `Fraction` with denominator 1,
-which equals and hashes like its int); over Z they are plain `int`, and
-over F_p residues in [0, p).
+A coordinate vector has one sparse format, {index: nonzero normalized
+scalar}: Echelon.coords returns it (the zero vector is {}), and the
+structure constants and pairings of `algebra` store it, so no reader
+filters zeros again.  Matrices are stored by column, {col: {row: nonzero
+scalar}} (Saad, Iterative Methods for Sparse Linear Systems, 3.4), so
+complexes are built, multiplied and eliminated column by column.  Scalars
+over Q are `int` when integral and `Fraction` otherwise (arithmetic may
+leave a `Fraction` with denominator 1, which equals and hashes like its
+int); over Z they are plain `int`, and over F_p residues in [0, p).  A
+domain has no arithmetic of its own beyond `inv`: callers compute with
+plain + - * and int literals, then pass the result through
+`domain.normalize`, which reduces it (mod p over F_p, to an int when
+integral over Q) and rejects what the domain cannot hold.
 Rank over Q is fraction-free: rows are scaled to integers and updated by
 two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
@@ -94,29 +101,8 @@ class _Rationals:
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         return self.normalize(Fraction(1) / a)
-
-    def is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return "QQ"
@@ -136,29 +122,8 @@ class _Integers:
             return x.numerator
         return int(x)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         raise DomainNotField("Z is not a field")
-
-    def is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return "ZZ"
@@ -199,31 +164,10 @@ class GF:
             return x.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(x) % self.p
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a % self.p == 0
 
     def __eq__(self, other):
         return isinstance(other, GF) and other.p == self.p
@@ -318,7 +262,7 @@ class Mat:
         return self._c.get(j, {})
 
     def entry(self, i, j):
-        return self._c.get(j, {}).get(i, self.domain.zero())
+        return self._c.get(j, {}).get(i, 0)
 
     def nnz(self):
         return sum(map(len, self._c.values()))
@@ -327,7 +271,7 @@ class Mat:
         return not self._c
 
     def to_rows(self):
-        out = [[self.domain.zero()] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.items():
             out[i][j] = v
         return out
@@ -580,16 +524,16 @@ def kernel_basis(m):
     be fractional; saturating them there gives a Z-basis of the kernel
     lattice, which is the RREF basis itself when that is integral.
     """
-    dom = m.domain
-    ech, kept = _column_echelon(m.change_domain(QQ) if dom == ZZ else m)
+    ech, kept = _column_echelon(m.change_domain(QQ) if m.domain == ZZ else m)
+    norm = ech.domain.normalize
     basis = []
     for f in sorted(set(range(m.cols)).difference(kept)):
-        v = [dom.zero()] * m.cols
-        v[f] = dom.one()
-        for pc, c in zip(kept, ech.coords(m.column(f))):
-            v[pc] = dom.neg(c)
+        v = [0] * m.cols
+        v[f] = 1
+        for k, c in ech.coords(m.column(f)).items():
+            v[kept[k]] = norm(-c)
         basis.append(v)
-    if dom == ZZ:
+    if m.domain == ZZ:
         _saturate(basis, kept)
     return [tuple(v) for v in basis]
 
@@ -664,12 +608,8 @@ class Echelon:
     def _reduce(self, row):
         """(row minus a combination of echelon rows, zero at every pivot
         column; the combination's coordinates in the basis)."""
-        dom, p = self.domain, self._p
-        rest = {}
-        for j, v in row.items():
-            v = dom.normalize(v)
-            if not dom.is_zero(v):
-                rest[j] = v
+        norm, p = self.domain.normalize, self._p
+        rest = {j: w for j, v in row.items() if (w := norm(v))}
         comb = {}
         for col, erow, trans in self._rows:
             f = rest.get(col)
@@ -680,30 +620,27 @@ class Echelon:
 
     def add(self, row):
         """Record row when it is independent of the basis; True if it was."""
-        dom, p = self.domain, self._p
         rest, comb = self._reduce(row)
         if not rest:
             return False
         col = min(rest)
-        inv = dom.inv(rest[col])
+        norm, inv = self.domain.normalize, self.domain.inv(rest[col])
         # rest = row - comb, and row is basis vector number self.rank
-        trans = _axpy({self.rank: dom.one()}, 1, comb, p)
-        self._rows.append((col, {j: dom.mul(inv, v) for j, v in rest.items()},
-                           {k: dom.mul(inv, v) for k, v in trans.items()}))
+        trans = _axpy({self.rank: 1}, 1, comb, self._p)
+        self._rows.append((col, {j: norm(inv * v) for j, v in rest.items()},
+                           {k: norm(inv * v) for k, v in trans.items()}))
         self.rank += 1
         return True
 
     def coords(self, row):
-        """Coordinates of row in the recorded basis, normalized, or
-        NoSolution."""
+        """Coordinates of row in the recorded basis as {index: nonzero
+        normalized scalar}, or NoSolution.  The zero vector is {}, which is
+        falsy like NoSolution: test the result with `is NoSolution`."""
         rest, comb = self._reduce(row)
         if rest:
             return NoSolution
-        dom = self.domain
-        out = [dom.zero()] * self.rank
-        for k, v in comb.items():
-            out[k] = dom.normalize(v)
-        return tuple(out)
+        norm = self.domain.normalize
+        return {k: norm(v) for k, v in comb.items()}
 
 
 def _column_echelon(m):
@@ -729,9 +666,9 @@ def solve(m, rhs):
     c = ech.coords(dict(enumerate(rhs)))
     if c is NoSolution:
         return NoSolution
-    x = [m.domain.zero()] * m.cols
-    for pc, v in zip(kept, c):
-        x[pc] = v
+    x = [0] * m.cols
+    for k, v in c.items():
+        x[kept[k]] = v
     return tuple(x)
 
 

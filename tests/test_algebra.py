@@ -1,5 +1,6 @@
 """Subalgebra presentations: validation, catalog, splittings, bimodules."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -28,6 +29,15 @@ NOT_SPLITTABLE = {"M2", "M3", "P21", "P12", "M2xD1"}
 I2 = [[1, 0], [0, 1]]
 E12 = [[0, 1], [0, 0]]
 E21 = [[0, 0], [1, 0]]
+
+
+def _dense(coords, d):
+    """A sparse coordinate vector as a d-tuple, checking that it stores only
+    nonzero values at indices below d; NoSolution stays NoSolution."""
+    if coords is NoSolution:
+        return coords
+    assert all(coords.values()) and all(0 <= k < d for k in coords)
+    return tuple(coords.get(k, 0) for k in range(d))
 
 
 def _span_matrix(A):
@@ -84,6 +94,24 @@ def test_structure_constants_all_catalog():
         for dom in (QQ, GF(2), GF(3), GF(5), ZZ):
             A = catalog(name, dom)
             assert structure_constants_ok(A), (name, dom)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(3), ZZ], ids=repr)
+def test_structure_constants_ok_rejects_bad_constants(dom):
+    A = catalog("N3", dom)  # basis I, b = E01, c = E02, d = E12
+    assert A.mult[1][3] == {2: 1} and A.unit_coords == {0: 1}
+    # one coefficient: b d = c becomes c + b, so (b d) d = b d != 0 while
+    # b (d d) = 0
+    bad = copy.copy(A)
+    bad.mult = tuple(tuple({**c, 1: 1} if (i, j) == (1, 3) else c
+                           for j, c in enumerate(row))
+                     for i, row in enumerate(A.mult))
+    assert not structure_constants_ok(bad)
+    # one unit coordinate: 2I is no unit
+    bad = copy.copy(A)
+    bad.unit_coords = {0: 2}
+    assert not structure_constants_ok(bad)
+    assert structure_constants_ok(A)
 
 
 def test_member_coords():
@@ -172,7 +200,7 @@ def test_with_unit_first_over_z_without_a_unit_coordinate():
     I, N = Mat.identity(2, ZZ), Mat.from_rows(E12, ZZ)
     A = verify_subalgebra(2, ZZ, [I.scale(-1).add(N.scale(3)),
                                   I.add(N.scale(-2))], name="N2'")
-    assert A.unit_coords == (2, 3)
+    assert _dense(A.unit_coords, 2) == (2, 3)
     A1 = A.with_unit_first()
     assert A1.basis[0] == I and A1.dim == 2
     assert A1.with_unit_first() is A1
@@ -316,14 +344,14 @@ def test_bimodule_action_laws():
             # (a_i a_j) . v = a_i . (a_j . v) via structure constants
             lhs = bm.act_left(i, bm.act_left(j, v))
             rhs = tuple(sum((c * x for c, x in
-                             zip(A.mult[i][j], col)), Fraction(0))
+                             zip(_dense(A.mult[i][j], d), col)), Fraction(0))
                         for col in zip(*[bm.act_left(k, v)
                                          for k in range(d)]))
             assert lhs == rhs
             # v . (a_i a_j) = (v . a_i) . a_j
             lhs = bm.act_right(j, bm.act_right(i, v))
             rhs = tuple(sum((c * x for c, x in
-                             zip(A.mult[i][j], col)), Fraction(0))
+                             zip(_dense(A.mult[i][j], d), col)), Fraction(0))
                         for col in zip(*[bm.act_right(k, v)
                                          for k in range(d)]))
             assert lhs == rhs
@@ -418,9 +446,8 @@ def _dense_proj(A, bm):
 
 def _combo(dom, coords, mats, m):
     acc = Mat.zeros(m, m, dom)
-    for c, x in zip(coords, mats):
-        if not dom.is_zero(dom.normalize(c)):
-            acc = acc.add(x.scale(c))
+    for c, x in zip(_dense(coords, len(mats)), mats):
+        acc = acc.add(x.scale(c))
     return acc
 
 
@@ -487,10 +514,13 @@ def test_structure_constants_match_per_product_solve(seed):
             except NotInvertible:
                 continue
         span_t = _span_t(C)
-        assert C.unit_coords == solve(span_t, _dense_vec(C.unit_matrix()))
+        d = C.dim
+        assert _dense(C.unit_coords, d) == solve(span_t,
+                                                 _dense_vec(C.unit_matrix()))
         for i, a in enumerate(C.basis):
             for j, b in enumerate(C.basis):
-                assert C.mult[i][j] == solve(span_t, _dense_vec(a.mul(b)))
+                assert _dense(C.mult[i][j], d) == solve(
+                    span_t, _dense_vec(a.mul(b)))
 
 
 def test_member_coords_match_solve_on_catalog():
@@ -502,7 +532,8 @@ def test_member_coords_match_solve_on_catalog():
                                       for i in range(n) for j in range(n)]
             probes.append(A.basis[-1].scale(2).add(A.unit_matrix()))
             for m in probes:
-                assert A.member_coords(m) == _solve_coords(span_t, m, dom)
+                assert _dense(A.member_coords(m), A.dim) == _solve_coords(
+                    span_t, m, dom)
     # over Z a rational member with fractional coordinates is no member
     A = catalog("N2", ZZ)
     assert A.member_coords(Mat(2, 2, ZZ, {(0, 0): 1})) is NoSolution
@@ -523,7 +554,8 @@ def test_radical_products_match_solve_on_catalog():
             for (i, j), coords in sp.radical_products.items():
                 want = solve(rad_t, _dense_vec(sp.radical[i].mul(
                     sp.radical[j])))
-                assert coords == tuple(dom.normalize(v) for v in want)
+                assert _dense(coords, len(sp.radical)) == tuple(
+                    dom.normalize(v) for v in want)
 
 
 # ---------------------------------------------------------------------------

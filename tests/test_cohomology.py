@@ -9,7 +9,8 @@ import hochschild.algebra
 from hochschild.algebra import (NotSplit, catalog, conjugate_algebra,
                                 detect_splitting, direct_product,
                                 morita_corner, quotient_bimodule,
-                                regular_bimodule, verify_subalgebra)
+                                regular_bimodule, structure_constants_ok,
+                                verify_subalgebra)
 from hochschild.cohomology import (CohomologyResult, DegreeOutOfRange,
                                    cohomology_of, compute_cohomology,
                                    pick_method)
@@ -376,6 +377,16 @@ def test_gerstenhaber_schack_crown():
 def test_gerstenhaber_schack_sphere():
     assert SPHERE[0] == 14
     assert _incidence_hh(SPHERE, ZZ) == ((1, ()), (0, ()), (1, ()))
+
+
+def test_sphere_structure_constants_and_splitting():
+    # all 50^3 associativity triples are checked from sparse constants; a
+    # dense sum over (i, j, l, t, s) would take 50^5 products
+    n, leq = SPHERE
+    A = verify_subalgebra(n, QQ, [Mat(n, n, QQ, {xy: 1}) for xy in leq])
+    assert structure_constants_ok(A)
+    sp = detect_splitting(A)
+    assert (len(sp.idempotents), len(sp.radical)) == (14, 36)
 
 
 def test_gerstenhaber_schack_projective_plane():

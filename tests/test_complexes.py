@@ -315,8 +315,8 @@ def test_cibils_rejects_inconsistent_splitting():
     flipped = copy.copy(sp)
     flipped.bigrading = tuple((u, t) for t, u in sp.bigrading)
     off_block = copy.copy(sp)
-    off_block.radical_products = {**sp.radical_products,
-                                  (0, 0): (1,) * len(sp.radical)}
+    ones = dict.fromkeys(range(len(sp.radical)), 1)
+    off_block.radical_products = {**sp.radical_products, (0, 0): ones}
     # S14's radical letters multiply to zero, so only their action can
     # show that letter 0 does not start in block 1
     A14 = catalog("S14", QQ)

@@ -68,7 +68,9 @@ def test_rank_fractional_entries():
 def test_rationals_store_integral_values_as_int():
     assert type(QQ.normalize(Fraction(6, 3))) is int
     assert type(QQ.normalize(Fraction(1, 2))) is Fraction
-    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    half = Fraction(1, 2)
+    assert type(QQ.normalize(half - half)) is int
+    assert type(QQ.normalize(half + half)) is int
     assert QQ.inv(2) == Fraction(1, 2) and QQ.inv(1) == 1
     assert type(QQ.inv(Fraction(1, 3))) is int
     m = _mat([[Fraction(4, 2), Fraction(1, 3)]], QQ)
@@ -79,12 +81,15 @@ def test_rationals_never_return_float():
     vals = [0, 1, -3, 7, Fraction(1, 2), Fraction(-7, 3), Fraction(4, 2)]
     outs = []
     for a in vals:
-        outs += [QQ.normalize(a), QQ.neg(a)]
+        outs += [QQ.normalize(a), QQ.normalize(-a)]
         if a:
             outs.append(QQ.inv(a))
         for b in vals:
-            outs += [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b)]
+            outs += [QQ.normalize(a + b), QQ.normalize(a - b),
+                     QQ.normalize(a * b)]
     assert not any(isinstance(x, float) for x in outs)
+    # int when integral
+    assert all(type(x) is int or x.denominator > 1 for x in outs)
 
 
 def test_rational_matrix_from_ints_equals_from_fractions():
@@ -237,13 +242,14 @@ def test_echelon_coords_and_rank(dom):
     # the third row is the sum of the first two
     assert [ech.add(r) for r in rows] == [True, True, False, True]
     assert ech.rank == 3
-    # coordinates in the kept rows 0, 1, 3: 2*r0 - r1 + 2*r3
-    assert ech.coords({0: 2, 1: 3, 2: 3}) == tuple(
-        dom.normalize(c) for c in (2, -1, 2))
+    # coordinates in the kept rows 0, 1, 3: 2*r0 - r1 + 2*r3, sparse
+    assert ech.coords({0: 2, 1: 3, 2: 3}) == {
+        k: dom.normalize(c) for k, c in enumerate((2, -1, 2))}
+    assert ech.coords({0: 1, 1: 2}) == {0: 1}
     two_rows = Echelon(dom)
     two_rows.add(rows[0])
     assert two_rows.coords({2: 1}) is NoSolution
-    assert two_rows.coords({}) == (dom.zero(),)
+    assert two_rows.coords({}) == {}
     with pytest.raises(DomainNotField):
         Echelon(ZZ)
 

@@ -10,9 +10,11 @@ over Q when the algebra lives over Z), built once at validation and kept on
 the algebra, and all are stored as Echelon.coords returns them, sparse
 {index: nonzero scalar}: the structure constants, the unit, member
 coordinates, the radical products of a splitting and the pairings of the
-regular and ideal-quotient bimodules.  A product of incidence-algebra
-units is one unit or zero, so most of the d^2 products are {} and cost
-their readers nothing.
+regular and ideal-quotient bimodules.  A product a_i a_j is formed and
+read only when a_i's nonzero columns meet a_j's nonzero rows; otherwise
+it is the zero matrix and stored as {} at once.  A product of
+incidence-algebra units is one unit or zero, so most of the d^2 products
+are {}, cost validation no product, and cost their readers nothing.
 
 The module also builds the coefficient bimodules used by the cochain
 complexes:
@@ -30,7 +32,9 @@ projection: a E_ij = sum_r a[r,i] E_rj and E_ij a = sum_c a[j,c] E_ic, so
 each action column is a sum of projection columns over the nonzeros of a.
 
 plus `detect_splitting`, which finds the idempotent/radical decomposition
-feeding the small complex of `complexes.cibils_complex`, `morita_corner`,
+feeding the small complex of `complexes.cibils_complex` (its ideal and
+nilpotency tests read the radical's rows of the structure constants and
+form no matrix product), `morita_corner`,
 the basic corner eAe of an algebra that does not split, and a catalog of
 the named subalgebras of M_2 and M_3 together with the classical families
 (full, upper triangular, diagonal, scalar, block parabolic, truncated
@@ -221,10 +225,16 @@ def verify_subalgebra(n, domain, basis, name=None):
     unit = _coords_in(span, domain, Mat.identity(n, domain))
     if unit is NoSolution:
         raise NoUnit("identity matrix is not in the span")
+    # a_i a_j is the zero matrix when a_i's columns miss a_j's rows
+    cols = [{j for (_, j), _ in b.items()} for b in mats]
+    rows = [{i for (i, _), _ in b.items()} for b in mats]
     mult = []
     for i, a in enumerate(mats):
         row = []
         for j, b in enumerate(mats):
+            if cols[i].isdisjoint(rows[j]):
+                row.append({})
+                continue
             c = _coords_in(span, domain, a.mul(b))
             if c is NoSolution:
                 raise NotClosed(i + 1, j + 1)
@@ -241,26 +251,29 @@ def structure_constants_ok(A):
     c[j][l] both empty has 0 = 0 and is passed without arithmetic.
     """
     d, norm, c = A.dim, A.domain.normalize, A.mult
-
-    def combo(terms):
-        """sum of v * vec over the (v, vec) terms, as {k: nonzero}."""
-        acc = {}
-        for v, vec in terms:
-            for k, w in vec.items():
-                acc[k] = acc.get(k, 0) + v * w
-        return {k: w for k, x in acc.items() if (w := norm(x))}
-
     for j in range(d):
         live = [l for l in range(d) if c[j][l]]
         for i in range(d):
             cij = c[i][j]
             for l in range(d) if cij else live:
-                if (combo((v, c[s][l]) for s, v in cij.items())
-                        != combo((v, c[i][s]) for s, v in c[j][l].items())):
+                if (_combo(norm, ((v, c[s][l]) for s, v in cij.items()))
+                        != _combo(norm, ((v, c[i][s])
+                                         for s, v in c[j][l].items()))):
                     return False
     e = A.unit_coords.items()
-    return all(combo((v, c[i][j]) for i, v in e) == {j: 1}
-               == combo((v, c[j][i]) for i, v in e) for j in range(d))
+    return all(_combo(norm, ((v, c[i][j]) for i, v in e)) == {j: 1}
+               == _combo(norm, ((v, c[j][i]) for i, v in e))
+               for j in range(d))
+
+
+def _combo(norm, terms):
+    """sum of v * vec over the (v, vec) terms of sparse vectors, as
+    {k: nonzero normalized scalar}."""
+    acc = {}
+    for v, vec in terms:
+        for k, w in vec.items():
+            acc[k] = acc.get(k, 0) + v * w
+    return {k: w for k, x in acc.items() if (w := norm(x))}
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +505,8 @@ def detect_splitting(A):
     or purely off-diagonal, the diagonal ones are orthogonal idempotents
     summing to I_n, each off-diagonal one is homogeneous for the block
     bigrading, and the off-diagonal span is a nilpotent two-sided ideal.
-    Raises NotSplit otherwise.
+    Raises NotSplit otherwise.  The radical is a subset of A's basis, so
+    both ideal and nilpotency are read from A.mult, on coordinates.
     """
     n, dom = A.n, A.domain
     diag, offd, offd_idx = [], [], []
@@ -529,24 +543,31 @@ def detect_splitting(A):
         if len(grades) != 1:
             raise NotSplit("radical basis element is not bigraded")
         bigrading.append(grades.pop())
-    # radical span must be a two-sided nilpotent ideal
-    rad = _span_echelon(offd, dom)
+    # the radical span is a two-sided ideal (the idempotents act on a
+    # bigraded element by 1 or 0) exactly when every radical product has
+    # only radical coordinates in A.mult; they are re-indexed to the radical
+    at = {k: r for r, k in enumerate(offd_idx)}
     products = {}
-    for i, x in enumerate(offd):
-        for j, y in enumerate(offd):
-            c = _coords_in(rad, dom, x.mul(y))
-            if c is NoSolution:
+    for i, k in enumerate(offd_idx):
+        for j, l in enumerate(offd_idx):
+            c = A.mult[k][l]
+            if not at.keys() >= c.keys():
                 raise NotSplit("radical span is not an ideal")
-            products[(i, j)] = c
-    # nilpotency: iterate the span of products of k factors
-    layer = [x for x in offd]
+            products[(i, j)] = {at[s]: v for s, v in c.items()}
+    # nilpotency on coordinates: round k takes a basis of J^{k+1} from an
+    # echelon form of a spanning set (the products for J^2), then spans
+    # J^{k+2} = J^{k+1} J; J^n = 0 when J is nilpotent in M_n
+    norm, r = dom.normalize, len(offd)
+    layer = list(products.values())
     for _ in range(n):
-        if all(x.is_zero() for x in layer):
+        ech = Echelon(QQ if dom == ZZ else dom)
+        layer = [v for v in layer if v and ech.add(v)]
+        if not layer:
             break
-        layer = [x.mul(y) for x in layer for y in offd if not x.is_zero()]
+        layer = [_combo(norm, ((w, products[i, j]) for i, w in x.items()))
+                 for x in layer for j in range(r)]
     else:
-        if not all(x.is_zero() for x in layer):
-            raise NotSplit("radical is not nilpotent")
+        raise NotSplit("radical is not nilpotent")
     return Splitting(diag, offd, offd_idx, bigrading, products)
 
 

@@ -67,7 +67,7 @@ def _parse_scalar(v):
     if isinstance(v, bool) or isinstance(v, float):
         raise AlgebraError("matrix entries must be integers or 'p/q' strings")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, str):
         try:
             return Fraction(v)

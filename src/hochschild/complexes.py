@@ -8,7 +8,10 @@ C^p is spanned by (word, q) for the composable words of p letters and the
 coordinates q of the word's block.  d sums the left action of a prepended
 letter, the products of neighbouring letters and the right action of an
 appended letter, with alternating signs.  Ranks are counted before any word
-is built, so the size budget refuses a request before any work.
+is built, so the size budget refuses a request before any work.  The
+actions that are not zero are listed once per coordinate, before any word,
+so a column walks only the letters that act on its coordinate: in the bar
+complex of an incidence algebra most letters act by zero on each one.
 
     bar_complex          all of A's basis, one block: rank d^p * m
     reduced_bar_complex  a complement of the unit line: rank (d-1)^p * m
@@ -140,22 +143,28 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                          for st, c in counts.items()))
     _check_budget(ranks, budget, tag)
 
-    def acting(k, mat, qs, want):
-        """Letter k's action on the coordinates qs, rows as positions in the
-        block `want` they must land in; None where it is zero."""
-        if any(comp[r] != want for q in qs for r in mat.column(q)):
-            raise AlgebraError("splitting data is inconsistent: letter %r "
-                               "moves a coordinate off block %r" % (k, want))
-        out = {q: [(pos[r], v) for r, v in mat.column(q).items()] for q in qs}
-        return out if any(out.values()) else None
-
-    # per block of coordinates, the letters acting on it from either side
-    lefts, rights = {}, {}
+    # per block of coordinates, the letters acting on it from the left,
+    # then those acting from the right, as (letter word, right?); per
+    # coordinate q, acts[q] holds (place in its block's list, [(row
+    # position, value)]) for each of those actions that is not zero on q
+    sides, acts = {}, [[] for _ in comp]
     for (s, t), qs in by_block.items():
-        lefts[s, t] = [((k,), a) for k in into.get(s, ()) if (a := acting(
-            k, M.left[letters[k]], qs, (grading[k][0], t)))]
-        rights[s, t] = [((k,), a) for k in out_of.get(t, ()) if (a := acting(
-            k, M.right[letters[k]], qs, (s, grading[k][1])))]
+        sides[s, t] = []
+        for ks, mats, right in ((into.get(s, ()), M.left, False),
+                                (out_of.get(t, ()), M.right, True)):
+            for k in ks:
+                want = (s, grading[k][1]) if right else (grading[k][0], t)
+                cols = [(q, col) for q in qs
+                        if (col := mats[letters[k]].column(q))]
+                if any(comp[r] != want for _, col in cols for r in col):
+                    raise AlgebraError(
+                        "splitting data is inconsistent: letter %r moves a "
+                        "coordinate off block %r" % (k, want))
+                for q, col in cols:
+                    acts[q].append((len(sides[s, t]),
+                                    [(pos[r], v) for r, v in col.items()]))
+                if cols:
+                    sides[s, t].append(((k,), right))
     prodmap = {k: [] for k in letters}
     for (u, v), coords in products.items():
         for k, c in coords.items():
@@ -187,17 +196,17 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         sign_last = 1 if (p + 1) % 2 == 0 else -1
         for w, base, qs, st in column_blocks(p, offsets):
             # a letter acting on the block leads to a row word that exists
-            sides = [(rowoff[k + w], 1, acts) for k, acts in lefts[st]]
-            sides += [(rowoff[w + k], sign_last, acts)
-                      for k, acts in rights[st]]
+            offs = [(rowoff[w + k], sign_last) if right else (rowoff[k + w], 1)
+                    for k, right in sides[st]]
             # an inner product keeps the word's block, so q keeps its row
             inner = [(rowoff[w[:i] + (u, v) + w[i + 1:]], c if i % 2 else -c)
                      for i in range(p) for u, v, c in prodmap[w[i]]]
             for t, q in enumerate(qs):
                 col = {}
                 get = col.get
-                for off, sign, acts in sides:
-                    for r, val in acts[q]:
+                for i, pairs in acts[q]:
+                    off, sign = offs[i]
+                    for r, val in pairs:
                         key = row_ints[off + r]
                         col[key] = get(key, 0) + sign * val
                 for off, val in inner:

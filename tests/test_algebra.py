@@ -22,6 +22,7 @@ from hochschild.algebra import (CATALOG_DEG2, CATALOG_DEG3, AlgebraError,
 from hochschild.cohomology import cohomology_of
 from hochschild.exactla import GF, QQ, ZZ, Mat, rank, solve
 
+from _posets import RP2, SPHERE
 from _tabledata import ALL_NAMES, DEG2, DEG3, TRANSPOSE_PAIRS
 
 NOT_SPLITTABLE = {"M2", "M3", "P21", "P12", "M2xD1"}
@@ -252,6 +253,32 @@ def test_radical_is_nilpotent_ideal():
                 break
             layer = [a.mul(b) for a in layer for b in rad]
         assert all(m.is_zero() for m in layer), name
+
+
+I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), ZZ], ids=repr)
+def test_splitting_refuses_a_radical_span_that_is_no_ideal(dom):
+    # P the 3-cycle: P * P^2 = I leaves the radical span {P, P^2}
+    P = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+    A = verify_subalgebra(3, dom, [I3, P, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]])
+    with pytest.raises(NotSplit, match="^radical span is not an ideal$"):
+        detect_splitting(A)
+
+
+@pytest.mark.parametrize("dom,message", [
+    (GF(2), "radical is not nilpotent"),
+    (QQ, "radical span is not an ideal"),
+    (ZZ, "radical span is not an ideal"),
+], ids=repr)
+def test_splitting_refuses_a_radical_that_is_not_nilpotent(dom, message):
+    # x = J_3 - I (J_3 all ones) has x^2 = x + 2I: over F2 the radical
+    # span {x} is an ideal with x^2 = x, elsewhere x^2 leaves it
+    x = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    A = verify_subalgebra(3, dom, [I3, x])
+    with pytest.raises(NotSplit, match="^%s$" % message):
+        detect_splitting(A)
 
 
 def test_validate_splitting_roundtrip_and_rejection():
@@ -499,6 +526,18 @@ def _solve_coords(span_t, m, dom):
     return tuple(int(v) for v in sol)
 
 
+def _assert_constants_match_solve(C):
+    """The unit and every structure constant of C, against one solve of
+    the formed product each."""
+    span_t, d, dom = _span_t(C), C.dim, C.domain
+    assert _dense(C.unit_coords, d) == _solve_coords(span_t, C.unit_matrix(),
+                                                     dom)
+    for i, a in enumerate(C.basis):
+        for j, b in enumerate(C.basis):
+            assert _dense(C.mult[i][j], d) == _solve_coords(
+                span_t, a.mul(b), dom), (C, i, j)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_structure_constants_match_per_product_solve(seed):
     rng = random.Random(seed)
@@ -513,14 +552,42 @@ def test_structure_constants_match_per_product_solve(seed):
                 break
             except NotInvertible:
                 continue
-        span_t = _span_t(C)
-        d = C.dim
-        assert _dense(C.unit_coords, d) == solve(span_t,
-                                                 _dense_vec(C.unit_matrix()))
-        for i, a in enumerate(C.basis):
-            for j, b in enumerate(C.basis):
-                assert _dense(C.mult[i][j], d) == solve(
-                    span_t, _dense_vec(a.mul(b)))
+        _assert_constants_match_solve(C)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(3), ZZ], ids=repr)
+def test_structure_constants_match_solve_where_products_are_skipped(dom):
+    # on matrix units most products are zero by support and never formed
+    for name in ALL_NAMES + ("B5", "P22"):
+        _assert_constants_match_solve(catalog(name, dom))
+
+
+def test_sphere_constants_match_per_product_solve():
+    # d = 50: 2,500 solves, of which 2,390 check a product never formed
+    n, leq = SPHERE
+    _assert_constants_match_solve(
+        verify_subalgebra(n, QQ, [Mat(n, n, QQ, {xy: 1}) for xy in leq]))
+
+
+def test_only_products_with_overlapping_support_are_formed(monkeypatch):
+    n, leq = RP2
+    products = []
+    mul = Mat.mul
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(Mat, "mul", counted)
+    A = verify_subalgebra(n, QQ, [Mat(n, n, QQ, {xy: 1}) for xy in leq])
+    # E_xy E_zw is formed only when y = z, and is then E_xw
+    at = {xy: k for k, xy in enumerate(leq)}
+    assert len(products) == sum(y == z for _, y in leq for z, _ in leq)
+    assert A.mult == tuple(tuple({at[x, w]: 1} if y == z else {}
+                                 for z, w in leq) for x, y in leq)
+    products.clear()
+    sp = detect_splitting(A)
+    assert (len(sp.idempotents), len(sp.radical)) == (31, 90)
+    assert not products
 
 
 def test_member_coords_match_solve_on_catalog():

@@ -1,6 +1,5 @@
 """Cohomology extraction: examples, method agreement, UCT bookkeeping."""
 
-import itertools
 import random
 
 import pytest
@@ -18,6 +17,7 @@ from hochschild.complexes import (bar_complex, cibils_complex,
                                   jn_periodic_complex)
 from hochschild.exactla import GF, QQ, ZZ, Mat, rank
 
+from _posets import RP2, SPHERE, TORUS
 from _tabledata import ALL_NAMES, field_dims, z_data
 
 NOT_SPLITTABLE = {"M2", "M3", "P21", "P12", "M2xD1"}
@@ -336,15 +336,6 @@ def test_torsion_is_sorted_divisibility_chain():
 # Gerstenhaber-Schack: HH^*(I(P), I(P)) is the cohomology of the order
 # complex of P, for the incidence algebra I(P) of a finite poset
 
-def _face_poset(facets):
-    """(n, relations x <= y) of the nonempty faces of a simplicial complex."""
-    faces = sorted({frozenset(s) for f in facets for k in range(1, len(f) + 1)
-                    for s in itertools.combinations(f, k)},
-                   key=lambda s: (len(s), sorted(s)))
-    return len(faces), [(x, y) for x, a in enumerate(faces)
-                        for y, b in enumerate(faces) if a <= b]
-
-
 def _incidence_hh(poset, dom, build=cibils_complex, top_degree=4):
     n, leq = poset
     A = verify_subalgebra(n, dom, [Mat(n, n, dom, {xy: 1}) for xy in leq])
@@ -358,13 +349,6 @@ def _incidence_hh(poset, dom, build=cibils_complex, top_degree=4):
 # minimal points 0, 1 below maximal points 2, 3: the order complex is a circle
 CROWN = (4, [(x, x) for x in range(4)] + [(a, b) for a in (0, 1)
                                           for b in (2, 3)])
-SPHERE = _face_poset([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
-RP2 = _face_poset([tuple(map(int, t)) for t in
-                   "124 126 135 136 145 234 235 256 346 456".split()])
-# Möbius–Császár 7-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7
-TORUS = _face_poset([tuple(map(int, t)) for t in
-                     "013 124 235 346 045 156 026 "
-                     "023 134 245 356 046 015 126".split()])
 
 
 def test_gerstenhaber_schack_crown():

@@ -1,6 +1,7 @@
 """Cochain complexes: ranks, differentials, budgets, cup products."""
 
 import copy
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -65,6 +66,51 @@ def test_method_tags_and_dd():
         assert cx.dd_verified
         for p in range(len(cx.diffs) - 1):
             assert cx.diffs[p + 1].mul(cx.diffs[p]).is_zero()
+
+
+def _dense_differential(cx, p):
+    """d^p of a bar or reduced complex, entry by entry from the Hochschild
+    formula (df)(a_0..a_p) = a_0 f(a_1..a_p) + sum_{i=1..p} (-1)^i
+    f(.., a_{i-1} a_i, ..) + (-1)^(p+1) f(a_0..a_{p-1}) a_p, on the words
+    of the letters in lexicographic order, each followed by every
+    coordinate of M; a product's unit coordinate, which names no letter of
+    the reduced complex, is dropped."""
+    A, M = cx.algebra, cx.module
+    letters = range(1, A.dim) if cx.method_tag == "reduced" else range(A.dim)
+    m = M.dim
+
+    def index(q):
+        return {(w, c): k for k, (w, c) in enumerate(
+            (w, c) for w in itertools.product(letters, repeat=q)
+            for c in range(m))}
+    cols, rows, out = index(p), index(p + 1), {}
+
+    def add(row, col, v):
+        out[row, col] = out.get((row, col), 0) + v
+    for (w, r), row in rows.items():
+        for c in range(m):
+            add(row, cols[w[1:], c], M.left[w[0]].entry(r, c))
+            add(row, cols[w[:-1], c],
+                (-1) ** (p + 1) * M.right[w[-1]].entry(r, c))
+        for i in range(1, p + 1):
+            for k, v in A.mult[w[i - 1]][w[i]].items():
+                if k in letters:
+                    add(row, cols[w[:i - 1] + (k,) + w[i + 1:], r],
+                        (-1) ** i * v)
+    return Mat(len(rows), len(cols), cx.domain, out), list(cols)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(3)], ids=repr)
+@pytest.mark.parametrize("name,top", [("B4", 3), ("S11", 3), ("N3", 3),
+                                      ("J3", 3)])
+def test_builder_matches_dense_hochschild_formula(name, top, dom):
+    A = catalog(name, dom)
+    for build in (bar_complex, reduced_bar_complex):
+        cx = build(A, top_degree=top)
+        for p, d in enumerate(cx.diffs):
+            dense, labels = _dense_differential(cx, p)
+            assert list(cx.labels[p]) == labels
+            assert d == dense, (name, build.__name__, p)
 
 
 RINGS = [QQ, GF(2), GF(3), ZZ]

@@ -10,9 +10,9 @@ from hochschild.moduli import (INCONCLUSIVE, YES, ModuliReport, certificates,
                                derivation_space, moduli_report, normalizer,
                                normalizer_dim, tangent_dimension)
 
+from _posets import RP2
 from _tabledata import (ALL_NAMES, TANGENT, field_dims,
                         normalizer_dim as table_normalizer_dim)
-from test_cohomology import RP2
 
 
 # ---------------------------------------------------------------------------

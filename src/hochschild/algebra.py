@@ -247,15 +247,16 @@ def structure_constants_ok(A):
     """(a_i a_j) a_l = a_i (a_j a_l) for every triple and e a_j = a_j = a_j e
     for every j, with e the unit, asserted on the structure constants.
 
-    Both sides are sparse sums of rows of c; a triple with c[i][j] and
-    c[j][l] both empty has 0 = 0 and is passed without arithmetic.
+    Both sides are sparse sums of rows of c.  With live(j) the l where
+    c[j][l] is not empty, only l in live(j) or in live(s) for some s in
+    c[i][j] is visited: elsewhere both sides are 0 without arithmetic.
     """
     d, norm, c = A.dim, A.domain.normalize, A.mult
+    live = [{l for l in range(d) if c[j][l]} for j in range(d)]
     for j in range(d):
-        live = [l for l in range(d) if c[j][l]]
         for i in range(d):
             cij = c[i][j]
-            for l in range(d) if cij else live:
+            for l in live[j].union(*map(live.__getitem__, cij)):
                 if (_combo(norm, ((v, c[s][l]) for s, v in cij.items()))
                         != _combo(norm, ((v, c[i][s])
                                          for s, v in c[j][l].items()))):

@@ -8,6 +8,17 @@ free rank of H^p is ranks[p] - rank d^p - rank d^{p-1}, and since kernels
 of integer matrices are saturated, the nonunit invariant factors of
 d^{p-1} are exactly the torsion invariants of H^p.
 
+Differentials are eliminated in increasing degree, and each is cleared by
+the one below (Chen and Kerber 2011; Kaczynski, Mrozek and Slusarek 1998):
+the pivot vectors of d^{q-1} lie in im d^{q-1}, inside ker d^q, and are
+triangular on their pivot positions, so with the unit vectors at the other
+positions they form a basis of C^q on which d^q vanishes at the pivot
+vectors.  The rank of d^q is then the rank of its columns off those
+positions.  Over Z the basis must be unimodular, so only the +-1 pivots
+clear, never those of the dense core, and the Smith form of the kept
+columns is that of d^q up to zeros.  A differential whose lower neighbour
+is not eliminated in the request is not cleared.
+
 The cibils complex runs on a validated splitting supplied with A, else on
 A when A splits, and otherwise on a basic corner eAe with AeA = A
 (`algebra.morita_corner`): Hochschild cohomology is Morita invariant,
@@ -83,37 +94,33 @@ def _normalize_degrees(cx, degrees):
     return degs
 
 
-def _per_differential(diffs, fn, below):
-    """q -> fn(diffs[q]), computed once per q; `below` for q = -1."""
-    cache = {-1: below}
-
-    def get(q):
-        if q not in cache:
-            cache[q] = fn(diffs[q])
-        return cache[q]
-    return get
-
-
 def compute_cohomology(cx, degrees=None):
-    """CohomologyResult for the requested degrees (default 0..D-1)."""
+    """CohomologyResult for the requested degrees (default 0..D-1); each
+    differential they read is eliminated once, cleared by the one below
+    when that one is eliminated too."""
     if degrees is None:
         degrees = range(cx.top_degree)
     degs = _normalize_degrees(cx, degrees)
     dom = cx.domain
     if dom.is_field:
-        rk = _per_differential(cx.diffs, rank, 0)
-        records = [{"degree": p,
-                    "dim": cx.ranks[p] - rk(p) - rk(p - 1)} for p in degs]
+        eliminate = rank
     elif dom == ZZ:
-        factors = _per_differential(
-            cx.diffs, lambda d: smith_normal_form(d).invariant_factors, ())
-        records = [{"degree": p,
-                    "free_rank": cx.ranks[p] - len(factors(p))
-                    - len(factors(p - 1)),
-                    "torsion": tuple(f for f in factors(p - 1) if f != 1)}
-                   for p in degs]
+        def eliminate(d, skip, pivots):
+            return smith_normal_form(d, skip, pivots).invariant_factors
     else:
         raise TypeError("unsupported coefficient domain %r" % (dom,))
+    out, pivots = {-1: 0 if dom.is_field else ()}, []
+    for q in sorted({q for p in degs for q in (p - 1, p) if q >= 0}):
+        skip, pivots = (pivots if q - 1 in out else ()), []
+        out[q] = eliminate(cx.diffs[q], skip, pivots)
+    if dom.is_field:
+        records = [{"degree": p, "dim": cx.ranks[p] - out[p] - out[p - 1]}
+                   for p in degs]
+    else:
+        records = [{"degree": p,
+                    "free_rank": cx.ranks[p] - len(out[p]) - len(out[p - 1]),
+                    "torsion": tuple(f for f in out[p - 1] if f != 1)}
+                   for p in degs]
     return CohomologyResult(dom, cx.method_tag, records)
 
 

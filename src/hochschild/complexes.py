@@ -13,6 +13,25 @@ actions that are not zero are listed once per coordinate, before any word,
 so a column walks only the letters that act on its coordinate: in the bar
 complex of an incidence algebra most letters act by zero on each one.
 
+Each differential is built from the one before (a prefix recursion).  The
+pairs (word, q) are laid out lexicographically, word first.  X_p(a, s) is
+the space of pairs (word of p letters from block a, coordinate q of block
+(s, the word's target)), in that layout; the pairs of C^{p+1} that begin
+with a letter w0: s -> a are one run, laid out as X_p(a, s), so prepending
+w0 is a constant offset and no word is ever a tuple on this path.  Column
+(w0 w', q) of d^p is the left actions on q plus F^p(w0 w', q), the
+products and the right action, and
+
+    F^p(w0 w', q) = I0(w0 w', q) - shift_w0 F^{p-1}(w', q),
+    F^0(q) = -sum_k R_k q,
+
+where I0 holds the products u v that have a w0 component, at rows
+(u v w', q), and shift_w0 moves X_p(a, s) onto w0's run.  F^{p-1} is kept
+on the X_{p-1}(a, s) that some later degree reads, one degree at a time;
+when every letter leaves one block s, C^p is X_p(s, s), and d^p stores
+F^p as it goes.  The sizes of X_p(a, s) follow the same count as the
+ranks, before any work.
+
     bar_complex          all of A's basis, one block: rank d^p * m
     reduced_bar_complex  a complement of the unit line: rank (d-1)^p * m
     cibils_complex       the radical basis of an algebra split into
@@ -28,6 +47,7 @@ coefficient pairing.
 """
 
 from functools import cached_property
+from operator import neg
 
 from .algebra import (AlgebraError, _bimodule_from_units, catalog,
                       detect_splitting, quotient_bimodule)
@@ -70,6 +90,9 @@ class CochainComplex:
                 raise ValueError("differential %d has shape %dx%d, want %dx%d"
                                  % (p, d.rows, d.cols,
                                     self.ranks[p + 1], self.ranks[p]))
+            if not d.rows_in_range():
+                raise IndexError("differential %d has a row outside 0..%d"
+                                 % (p, d.rows - 1))
         for p in range(len(self.diffs) - 1):
             if not self.diffs[p + 1].mul(self.diffs[p]).is_zero():
                 raise RuntimeError(
@@ -96,6 +119,17 @@ def _check_budget(ranks, budget, tag):
         raise SizeBudgetExceeded(
             "%s complex needs a cochain space of rank %d > budget %d"
             % (tag, worst, budget))
+
+
+def _word_targets(p, a, out_of, grading, memo):
+    """The target of each word of p letters from block a, in order, kept in
+    memo (a module function: a recursive closure would be a cycle)."""
+    if (p, a) not in memo:
+        memo[p, a] = [a] if not p else [
+            t for k in out_of.get(a, ())
+            for t in _word_targets(p - 1, grading[k][1], out_of, grading,
+                                   memo)]
+    return memo[p, a]
 
 
 def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
@@ -129,29 +163,36 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         out_of.setdefault(s, []).append(k)
     diag = [q for q, (s, t) in enumerate(comp) if s == t]
 
-    # words per (first source, last target), times the block sizes
-    ranks = [len(diag)]
-    counts = {(s, s): 1 for s in live}
-    for p in range(top_degree):
-        grown = {}
-        for (s, t), c in counts.items():
-            for k in out_of.get(t, ()):
-                st = (s, grading[k][1])
-                grown[st] = grown.get(st, 0) + c
-        counts = grown
-        ranks.append(sum(c * len(by_block.get(st, ()))
-                         for st, c in counts.items()))
+    # size[p][a, s]: the rank of X_p(a, s), for each letter's end a and each
+    # source s with coordinates; runs[p] = {letter k: first index of the
+    # pairs that begin with k} in C^p, whose run of k is X_{p-1}(target,
+    # source)
+    ends = {e for k in letters for e in grading[k]}
+    size = [{(a, s): len(by_block.get((s, a), ())) for a in ends
+             for s in live}]
+    runs, ranks = [None], [len(diag)]
+    for _ in range(top_degree):
+        x, y, run, n = size[-1], dict.fromkeys(size[-1], 0), {}, 0
+        for k in letters:
+            a, b = grading[k]
+            run[k] = n
+            n += x.get((b, a), 0)
+            for s in live:
+                y[a, s] += x[b, s]
+        size.append(y)
+        runs.append(run)
+        ranks.append(n)
     _check_budget(ranks, budget, tag)
 
-    # per block of coordinates, the letters acting on it from the left,
-    # then those acting from the right, as (letter word, right?); per
-    # coordinate q, acts[q] holds (place in its block's list, [(row
+    # per block of coordinates, sides[st][0] lists the letters acting on it
+    # from the left and sides[st][1] those acting from the right; per
+    # coordinate q, acts[q][side] holds (place in that list, [(row
     # position, value)]) for each of those actions that is not zero on q
-    sides, acts = {}, [[] for _ in comp]
+    sides, acts, lsrc = {}, [([], []) for _ in comp], {}
     for (s, t), qs in by_block.items():
-        sides[s, t] = []
-        for ks, mats, right in ((into.get(s, ()), M.left, False),
-                                (out_of.get(t, ()), M.right, True)):
+        sides[s, t] = ([], [])
+        for right, ks, mats in ((0, into.get(s, ()), M.left),
+                                (1, out_of.get(t, ()), M.right)):
             for k in ks:
                 want = (s, grading[k][1]) if right else (grading[k][0], t)
                 cols = [(q, col) for q in qs
@@ -161,10 +202,13 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                         "splitting data is inconsistent: letter %r moves a "
                         "coordinate off block %r" % (k, want))
                 for q, col in cols:
-                    acts[q].append((len(sides[s, t]),
-                                    [(pos[r], v) for r, v in col.items()]))
+                    acts[q][right].append((len(sides[s, t][right]), [
+                        (pos[r], v) for r, v in col.items()]))
                 if cols:
-                    sides[s, t].append(((k,), right))
+                    sides[s, t][right].append(k)
+        # the sources of the letters acting from the left on blocks (s, .)
+        lsrc.setdefault(s, set()).update(grading[k][0]
+                                         for k in sides[s, t][0])
     prodmap = {k: [] for k in letters}
     for (u, v), coords in products.items():
         for k, c in coords.items():
@@ -177,70 +221,153 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     "%r, %r has a component off their blocks" % (u, v))
             prodmap[k].append((u, v, c))
 
+    xruns = {}
+
+    def xrun(p, a, s):
+        """{letter k out of a: first index of the pairs of X_p(a, s) that
+        begin with k}."""
+        run = xruns.get((p, a, s))
+        if run is None:
+            run, n, x = {}, 0, size[p - 1]
+            for k in out_of.get(a, ()):
+                run[k] = n
+                n += x[grading[k][1], s]
+            xruns[p, a, s] = run
+        return run
+
+    targets = {}  # _word_targets' lists, per (length, first block)
+
+    def add_actions(col, q, side, offs, sign):
+        """col plus sign times the side's actions on q, the rows of the
+        i-th letter of the side's list starting at offs[i]."""
+        get = col.get
+        for i, pairs in acts[q][side]:
+            off = offs[i]
+            for r, v in pairs:
+                key = off + r
+                col[key] = get(key, 0) + sign * v
+        return col
+
+    def tails(p, w0, s, run1, F):
+        """([(first row, c)] for the products u v with c w0 in them,
+        -F^{p-1} on the tails, shift) for the run of w0 in the layout run1
+        of C^{p+1} or X_{p+1}: column j of F^p on the run is -c at each
+        row first + j plus column j of -F^{p-1} shifted down to the run."""
+        return ([(run1[u] + xrun(p, grading[u][1], s)[v], c)
+                 for u, v, c in prodmap[w0]], F[grading[w0][1], s],
+                run1[w0].__add__)
+
+    def columns(p, F, keep):
+        """(column, raw column) of d^p, each the left actions plus F^p;
+        F^p's columns are appended to keep unless it is None."""
+        run1 = runs[p + 1]
+        if not p:
+            for j, q in enumerate(diag):
+                left, right = sides[comp[q]]
+                col = add_actions({}, q, 1, [run1[k] for k in right], -1)
+                if keep is not None:
+                    keep.append((tuple(col), tuple(map(neg, col.values()))))
+                yield j, add_actions(col, q, 0, [run1[k] for k in left], 1)
+            return
+        j = 0
+        for w0 in letters:
+            s, a = grading[w0]
+            if not size[p - 1].get((a, s)):
+                continue
+            inner, prev, shift = tails(p, w0, s, run1, F)
+            # at[s2]: the first index of w0 w' in X_p(s, s2), where the
+            # row word k w0 w' of a left letter k from s2 begins
+            at = {s2: xrun(p, s, s2)[w0] for s2 in lsrc[s]}
+            i = 0
+            for t in _word_targets(p - 1, a, out_of, grading, targets):
+                qs = by_block.get((s, t), ())
+                if qs:
+                    offs = [run1[k] + at[grading[k][0]]
+                            for k in sides[s, t][0]]
+                for s2 in at:
+                    at[s2] += len(by_block.get((s2, t), ()))
+                for q in qs:
+                    rows, vals = prev[i]
+                    col = dict(zip(map(shift, rows), vals)) if rows else {}
+                    get = col.get
+                    for off, c in inner:
+                        key = off + i
+                        col[key] = get(key, 0) - c
+                    if keep is not None:
+                        keep.append((tuple(col),
+                                     tuple(map(neg, col.values()))))
+                    for h, pairs in acts[q][0]:
+                        off = offs[h]
+                        for r, v in pairs:
+                            key = off + r
+                            col[key] = get(key, 0) + v
+                    yield j, col
+                    j += 1
+                    i += 1
+
+    def tail_columns(p, a, s, F):
+        """-F^p on X_p(a, s), as (rows, values) per column: for p = 0, the
+        right actions."""
+        run1 = xrun(p + 1, a, s)
+        if not p:
+            ks = sides.get((s, a), ((), ()))[1]
+            cols = [add_actions({}, q, 1, [run1[k] for k in ks], -1)
+                    for q in by_block.get((s, a), ())]
+        else:
+            cols = []
+            for w0 in out_of.get(a, ()):
+                if not size[p - 1][grading[w0][1], s]:
+                    continue
+                inner, prev, shift = tails(p, w0, s, run1, F)
+                for i, (rows, vals) in enumerate(prev):
+                    col = dict(zip(map(shift, rows), vals))
+                    for off, c in inner:
+                        col[off + i] = col.get(off + i, 0) - c
+                    cols.append(col)
+        return [(tuple(col), tuple(map(neg, col.values()))) for col in cols]
+
+    # need[p]: the (a, s) whose F^p a later degree reads: d^{p+1} reads
+    # X_p(target, source) of each letter, and F^{p+1} on X_{p+1}(a, s) reads
+    # X_p(b, s) for each letter a -> b; the top degree and an empty X_p(a,
+    # s) need none
+    need = [()] * top_degree
+    first = {grading[k][::-1] for k in letters if grading[k][0] in live}
+    for p in range(top_degree - 2, -1, -1):
+        need[p] = {(a, s) for a, s in first.union(
+            (grading[k][1], s) for a, s in need[p + 1]
+            for k in out_of.get(a, ())) if size[p][a, s]}
+    # when the letters from sources with coordinates all leave one s, C^p is
+    # X_p(s, s) for p >= 1 (the runs of the other letters are empty), and so
+    # is C^0 when its coordinates are those of block (s, s); d^p then stores
+    # -F^p as it goes
+    srcs = live.intersection(grading[k][0] for k in letters)
+    shared = (min(srcs),) * 2 if len(srcs) == 1 else None
+
+    # F holds -F^{p-1} on the X_{p-1}(a, s) of need[p - 1]
+    diffs, F = [], {}
+    for p in range(top_degree):
+        G, keep = {}, None
+        if shared in need[p] and (p or diag == by_block[shared]):
+            keep = G[shared] = []
+        diffs.append(Mat.from_columns(ranks[p + 1], ranks[p], dom,
+                                      columns(p, F, keep)))
+        for a, s in need[p]:
+            if (a, s) not in G:
+                G[a, s] = tail_columns(p, a, s, F)
+        F = G
+
     def block(w):
         return grading[w[0]][0], grading[w[-1]][1]
 
-    def column_blocks(p, offsets):
-        """(word, first column, coordinates, their block) per block of
-        columns of C^p; in degree 0 each coordinate is its own block."""
-        if p == 0:
-            for j, q in enumerate(diag):
-                yield (), j, (q,), comp[q]
-        for w, base in offsets.items():
-            st = block(w)
-            yield w, base, by_block[st], st
-
-    def raw_columns(p, offsets, rowoff, row_ints):
-        """(column, {row: raw sum of domain values}) for each column of d^p
-        in turn: one (word, coordinate) pair each, normalized by Mat."""
-        sign_last = 1 if (p + 1) % 2 == 0 else -1
-        for w, base, qs, st in column_blocks(p, offsets):
-            # a letter acting on the block leads to a row word that exists
-            offs = [(rowoff[w + k], sign_last) if right else (rowoff[k + w], 1)
-                    for k, right in sides[st]]
-            # an inner product keeps the word's block, so q keeps its row
-            inner = [(rowoff[w[:i] + (u, v) + w[i + 1:]], c if i % 2 else -c)
-                     for i in range(p) for u, v, c in prodmap[w[i]]]
-            for t, q in enumerate(qs):
-                col = {}
-                get = col.get
-                for i, pairs in acts[q]:
-                    off, sign = offs[i]
-                    for r, val in pairs:
-                        key = row_ints[off + r]
-                        col[key] = get(key, 0) + sign * val
-                for off, val in inner:
-                    key = row_ints[off + t]
-                    col[key] = get(key, 0) + val
-                yield base + t, col
-
-    def word_offsets():
-        """{word: its first row} in C^p for p = 1..top_degree in turn, over
-        the words of p letters whose block has coordinates."""
+    def labels():
+        yield [((), q) for q in diag]
         words = [(k,) for k in letters if grading[k][0] in live]
         for p in range(top_degree):
             if p:
                 words = [w + (k,) for w in words
                          for k in out_of.get(grading[w[-1]][1], ())]
-            offsets, n = {}, 0
-            for w in words:
-                if qs := by_block.get(block(w)):
-                    offsets[w], n = n, n + len(qs)
-            yield offsets
+            yield [(w, q) for w in words for q in by_block.get(block(w), ())]
 
-    def labels():
-        yield [((), q) for q in diag]
-        for offsets in word_offsets():
-            yield [(w, q) for w in offsets for q in by_block[block(w)]]
-
-    diffs, rowoff = [], {}
-    for p, offsets in enumerate(word_offsets()):
-        cols, rowoff = rowoff, offsets
-        # row keys index a range, which bounds every row (Mat.from_columns
-        # does not check)
-        row_ints = range(ranks[p + 1])
-        diffs.append(Mat.from_columns(ranks[p + 1], ranks[p], dom,
-                                      raw_columns(p, cols, rowoff, row_ints)))
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
 
 

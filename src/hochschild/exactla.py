@@ -52,6 +52,14 @@ Rows left without a unit take the entry of least magnitude in the second
 phase of rank over Q, and go to a small dense Smith form over Z.  Pivot
 order affects speed only, never the answer.
 
+rank and smith_normal_form leave out the stored columns named in `skip`
+and report their pivot positions in `pivots`, for clearing (Chen and
+Kerber, Persistent homology computation with a twist, 2011): each pivot
+vector is a combination of the eliminated vectors, with its pivot entry
+nonzero and zeros at the positions taken before it.  Over a field every
+pivot is reported; over Z only the +-1 pivots of the sparse phase, which
+make a unimodular change of basis, and never those of the dense core.
+
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
 [(-1, 1)]
@@ -230,7 +238,8 @@ class Mat:
     @classmethod
     def from_columns(cls, rows, cols, domain, columns):
         """Matrix from (col, {row: value}) pairs, normalized as in Mat(); for
-        builders whose indices are in range by construction (not checked)."""
+        builders whose indices are in range by construction (not checked:
+        see rows_in_range)."""
         m = cls(rows, cols, domain)
         m._c = m._normalized(columns)
         return m
@@ -256,6 +265,12 @@ class Mat:
         """The nonzero entries as ((row, col), value), column by column."""
         return (((i, j), v) for j, col in self._c.items()
                 for i, v in col.items())
+
+    def rows_in_range(self):
+        """Whether every stored row index lies in 0..rows-1."""
+        c = self._c.values()
+        return not c or (0 <= min(map(min, c))
+                         and max(map(max, c)) < self.rows)
 
     def column(self, j):
         """Column j as {row: nonzero value}, the stored dict: read only."""
@@ -495,19 +510,37 @@ def _update_unit(prow, pj, trow):
     return _axpy(trow, trow[pj] * prow[pj], prow)  # pivot is +-1
 
 
-def rank(m):
-    """Rank of a matrix over Q or F_p (DomainNotField over Z)."""
+def _stored_columns(m, skip):
+    """m's stored columns, the eliminated vectors, as {index: column},
+    without the indices in skip."""
+    rows = dict(m._c)
+    for j in skip:
+        rows.pop(j, None)
+    return rows
+
+
+def rank(m, skip=(), pivots=None):
+    """Rank of a matrix over Q or F_p (DomainNotField over Z).
+
+    The stored columns with an index in `skip` are left out; when `pivots`
+    is a list, every pivot position (a row index of m) is appended to it.
+    """
     _require_field(m)
     # the stored columns are the eliminated vectors (rank = rank of m^T)
-    rows = dict(m._c)
+    rows = _stored_columns(m, skip)
     if isinstance(m.domain, GF):
-        return len(_eliminate(rows, _choose_short_column,
-                              _update_mod(m.domain.p))[0])
-    # over Q the +-1 pivots go first, as in the Smith form; the rows left
-    # have no unit entry and take the fraction-free rule
-    ones, residual = _eliminate(_int_rows(rows), _choose_unit, _update_unit)
-    return len(ones) + len(_eliminate(residual, _choose_smallest_entry,
-                                      _update_fraction_free)[0])
+        taken = _eliminate(rows, _choose_short_column,
+                           _update_mod(m.domain.p))[0]
+    else:
+        # over Q the +-1 pivots go first, as in the Smith form; the rows
+        # left have no unit entry and take the fraction-free rule
+        taken, residual = _eliminate(_int_rows(rows), _choose_unit,
+                                     _update_unit)
+        taken += _eliminate(residual, _choose_smallest_entry,
+                            _update_fraction_free)[0]
+    if pivots is not None:
+        pivots.extend(taken)
+    return len(taken)
 
 
 # ---------------------------------------------------------------------------
@@ -749,15 +782,23 @@ def _snf_dense(m, ncols):
     return factors
 
 
-def smith_normal_form(m):
-    """Invariant factors of an integer matrix."""
+def smith_normal_form(m, skip=(), pivots=None):
+    """Invariant factors of an integer matrix.
+
+    The stored columns with an index in `skip` are left out; when `pivots`
+    is a list, the positions of the +-1 pivots of the sparse phase are
+    appended to it, and not those of the dense core.
+    """
     if m.domain != ZZ:
         raise DomainNotField("smith_normal_form expects a Z matrix")
     # a +-1 pivot divides everything, so unit pivots go first, sparsely;
     # what is left has no unit entry and goes to the dense core
     # the stored columns are the eliminated vectors: the invariant factors
     # of m and m^T agree
-    ones, residual = _eliminate(dict(m._c), _choose_unit, _update_unit)
+    ones, residual = _eliminate(_stored_columns(m, skip), _choose_unit,
+                                _update_unit)
+    if pivots is not None:
+        pivots.extend(ones)
     factors = [1] * len(ones)
     if residual:
         # compact the residual block densely

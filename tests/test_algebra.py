@@ -115,6 +115,24 @@ def test_structure_constants_ok_rejects_bad_constants(dom):
     assert structure_constants_ok(A)
 
 
+@pytest.mark.parametrize("dom", [QQ, GF(3), ZZ], ids=repr)
+def test_structure_constants_ok_reaches_triples_through_the_product(dom):
+    # S12, basis E00, E01, E02, f = E11 + E22, E12: E01 E12 = E02 becomes
+    # E02 + E01.  E12 E12 = 0, so l = E12 is not live for j = E12; the
+    # triple (E01, E12, E12) is reached through s = E01 in the product,
+    # whose live set holds E12: (E01 E12) E12 = E02 while E01 (E12 E12) = 0.
+    # Every triple with l live for j, and both unit laws, still hold.
+    A = catalog("S12", dom)
+    assert A.mult[1][4] == {2: 1} and not A.mult[4][4]
+    assert A.unit_coords == {0: 1, 3: 1}
+    bad = copy.copy(A)
+    bad.mult = tuple(tuple({2: 1, 1: 1} if (i, j) == (1, 4) else c
+                           for j, c in enumerate(row))
+                     for i, row in enumerate(A.mult))
+    assert not structure_constants_ok(bad)
+    assert structure_constants_ok(A)
+
+
 def test_member_coords():
     A = catalog("N2", QQ)
     assert A.member_coords(A.unit_matrix()) == A.unit_coords

@@ -13,9 +13,10 @@ from hochschild.algebra import (NotSplit, catalog, conjugate_algebra,
 from hochschild.cohomology import (CohomologyResult, DegreeOutOfRange,
                                    cohomology_of, compute_cohomology,
                                    pick_method)
-from hochschild.complexes import (bar_complex, cibils_complex,
-                                  jn_periodic_complex)
-from hochschild.exactla import GF, QQ, ZZ, Mat, rank
+from hochschild.complexes import (CochainComplex, bar_complex,
+                                  cibils_complex, jn_periodic_complex,
+                                  reduced_bar_complex)
+from hochschild.exactla import GF, QQ, ZZ, Mat, rank, smith_normal_form
 
 from _posets import RP2, SPHERE, TORUS
 from _tabledata import ALL_NAMES, field_dims, z_data
@@ -254,9 +255,9 @@ def test_universal_coefficients(case, p):
 def test_q_ranks_each_differential_once_never_mod_p(monkeypatch):
     calls = []
 
-    def counted(m):
+    def counted(m, skip=(), pivots=None):
         calls.append(m)  # the matrix is kept, so its id stays its own
-        return rank(m)
+        return rank(m, skip, pivots)
     monkeypatch.setattr("hochschild.cohomology.rank", counted)
     cohomology_of(catalog("S11", QQ), method="reduced", degrees=range(5))
     # the first row of `table --degree 3 --ring Q`, as cmd_table computes it
@@ -264,6 +265,81 @@ def test_q_ranks_each_differential_once_never_mod_p(monkeypatch):
     assert calls
     assert all(m.domain == QQ for m in calls)
     assert len({id(m) for m in calls}) == len(calls)
+
+
+def _each_alone(cx, degrees):
+    """The records of compute_cohomology from each differential ranked (or
+    put in Smith form) on its own, without clearing."""
+    out = {-1: ()}
+    if cx.domain == ZZ:
+        for q in range(len(cx.diffs)):
+            out[q] = smith_normal_form(cx.diffs[q]).invariant_factors
+        return [{"degree": p,
+                 "free_rank": cx.ranks[p] - len(out[p]) - len(out[p - 1]),
+                 "torsion": tuple(f for f in out[p - 1] if f != 1)}
+                for p in degrees]
+    for q in range(len(cx.diffs)):
+        out[q] = (1,) * rank(cx.diffs[q])
+    return [{"degree": p, "dim": cx.ranks[p] - len(out[p]) - len(out[p - 1])}
+            for p in degrees]
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), GF(3), ZZ], ids=repr)
+def test_clearing_matches_each_differential_alone(dom):
+    # each differential is cleared by the pivots of the one below; the
+    # oracle ranks every differential on its own
+    for name in ALL_NAMES:
+        A = catalog(name, dom)
+        for method, top in (("bar", 3), ("reduced", 4), ("cibils", 5)):
+            try:
+                cx = cohomology_of(A, method, range(top)).complex
+            except NotSplit:
+                continue
+            for degrees in (range(top), [top - 1], [1, top - 1]):
+                got = compute_cohomology(cx, degrees).records
+                assert list(got) == _each_alone(cx, degrees), (name, method)
+
+
+def test_partial_requests_clear_only_after_an_eliminated_differential(
+        monkeypatch):
+    calls = []
+
+    def spied(m, skip=(), pivots=None):
+        calls.append((m, list(skip)))
+        return rank(m, skip, pivots)
+    monkeypatch.setattr("hochschild.cohomology.rank", spied)
+    cx = reduced_bar_complex(catalog("S11", QQ), top_degree=5)
+    # degrees 1 and 4 read d^0, d^1, d^3 and d^4: d^1 and d^4 are cleared
+    # by every pivot of the differential below, d^0 and d^3 by none, as
+    # d^2 is not eliminated
+    assert compute_cohomology(cx, [1, 4]).records == tuple(
+        _each_alone(cx, [1, 4]))
+    assert [m for m, _ in calls] == [cx.diffs[q] for q in (0, 1, 3, 4)]
+    assert [len(skip) for _, skip in calls] == [
+        0, rank(cx.diffs[0]), 0, rank(cx.diffs[3])]
+
+
+def test_z_clears_unit_pivots_only():
+    # Z -> Z^2 -> Z -> 0 with d^0 = (2, 3)^T and d^1 = (3 -2): d^0 has no
+    # unit entry, so its pivot is the dense core's and clears nothing; had
+    # it cleared position 0, d^1 would keep (-2) alone and H^2 would read
+    # Z/2, but gcd(3, 2) = 1 and H^2 = 0
+    diffs = (Mat.from_rows([[2], [3]], ZZ), Mat.from_rows([[3, -2]], ZZ),
+             Mat(0, 1, ZZ))
+    labels = [[((), q) for q in range(r)] for r in (1, 2, 1, 0)]
+    cx = CochainComplex("hand", ZZ, (1, 2, 1, 0), diffs, labels)
+    r = compute_cohomology(cx)
+    assert r.free_ranks() == (0, 0, 0) and r.torsions() == ((), (), ())
+    pivots = []
+    assert smith_normal_form(diffs[0], (), pivots).invariant_factors == (1,)
+    assert pivots == []
+    # a unit pivot is recorded, and clearing by it keeps the answer
+    pivots = []
+    smith_normal_form(Mat.from_rows([[1], [3]], ZZ), (), pivots)
+    assert pivots == [0]
+    assert smith_normal_form(diffs[1], pivots).invariant_factors == (2,)
+    assert smith_normal_form(Mat.from_rows([[3, -1]], ZZ), pivots) \
+        .invariant_factors == (1,)
 
 
 def test_rational_dims_equal_integer_free_ranks():

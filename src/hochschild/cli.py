@@ -50,7 +50,7 @@ def parse_ring(text):
         return QQ, "Q"
     if text == "Z":
         return ZZ, "Z"
-    if text.startswith("F") and text[1:].isdigit():
+    if text.startswith("F") and text[1:].isascii() and text[1:].isdigit():
         p = int(text[1:])
         try:
             dom = GF(p)

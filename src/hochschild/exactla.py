@@ -38,16 +38,26 @@ two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
 
 Pivot choices are deterministic.  rank and the sparse phase of
-smith_normal_form share one eliminator, which takes the stored columns of m
-as its rows (rank and the invariant factors of m and m^T agree, and the
-differentials are tall, so these are the fewer, longer vectors).  The pivot
-row is the shortest eligible row, ties broken by index, popped from a lazy
-min-heap instead of found by a scan.  Within that row the pivot is the
-eligible entry whose column is shortest, where eligible means +-1 over Z
-and in the first phase of rank over Q, and any nonzero entry over F_p.
-Column lengths come from an index of the rows holding each column, kept
-as a list per column: a list costs a fraction of a set's memory, and no
-row is ever listed twice.
+smith_normal_form take the stored columns of m as their vectors (rank and
+the invariant factors of m and m^T agree, and the differentials are tall,
+so these are the fewer, longer vectors).  A peel goes first (the weight-1
+columns of structured Gaussian elimination, LaMacchia and Odlyzko, 1990;
+the apparent pairs of Ripser, Bauer, 2021): one sweep in index order takes
+each vector that alone holds some position, at the least such position,
+with no update and no column index.  It is exact.  Over a field no other
+vector is nonzero there, so this one lies outside their span and adds 1
+to their rank.  Over Z a +-1 there clears the rest of the vector by
+unimodular steps, splitting off 1 (+) m'; a larger entry need not divide
+the rest, so it is never taken and stays for the eliminator and the dense
+core.  The holders of each position are counted in one C-level pass.
+
+The vectors left go to one eliminator.  The pivot row is the shortest
+eligible row, ties broken by index, popped from a lazy min-heap instead of
+found by a scan.  Within that row the pivot is the eligible entry whose
+column is shortest, where eligible means +-1 over Z and in the first phase
+of rank over Q, and any nonzero entry over F_p.  Column lengths come from
+an index of the rows holding each column, kept as a list per column: a
+list costs a fraction of a set's memory, and no row is ever listed twice.
 Rows left without a unit take the entry of least magnitude in the second
 phase of rank over Q, and go to a small dense Smith form over Z.  Pivot
 order affects speed only, never the answer.
@@ -56,9 +66,11 @@ rank and smith_normal_form leave out the stored columns named in `skip`
 and report their pivot positions in `pivots`, for clearing (Chen and
 Kerber, Persistent homology computation with a twist, 2011): each pivot
 vector is a combination of the eliminated vectors, with its pivot entry
-nonzero and zeros at the positions taken before it.  Over a field every
-pivot is reported; over Z only the +-1 pivots of the sparse phase, which
-make a unimodular change of basis, and never those of the dense core.
+nonzero and zeros at the positions taken before it (a peeled position is
+held by no vector left, and no update brings it back).  Over a field every
+pivot is reported, peeled or not; over Z only the +-1 pivots of the peel
+and the sparse phase, which make a unimodular change of basis, and never
+those of the dense core.
 
 >>> m = Mat.from_rows([[1, 1]], QQ)
 >>> kernel_basis(m)
@@ -69,10 +81,11 @@ make a unimodular change of basis, and never those of the dense core.
 (2, 4)
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -137,16 +150,35 @@ class _Integers:
         return "ZZ"
 
 
+# Miller-Rabin to the bases 2, 3, ..., 41 decides primality below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Whether p is prime, decided by deterministic Miller-Rabin; a p at
+    or above _PRIME_BOUND raises ValueError instead."""
+    if p >= _PRIME_BOUND:
+        raise ValueError("%r is too large: primality is decided only below "
+                         "%d" % (p, _PRIME_BOUND))
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -519,23 +551,55 @@ def _stored_columns(m, skip):
     return rows
 
 
+def _peel(live, units):
+    """Take, in one sweep, the vectors of `live` that alone hold a position.
+
+    Vectors are visited once, in index order.  A vector is taken at the
+    least position that no other live vector holds and where its entry is
+    eligible (+-1 when `units`, else any nonzero); it leaves `live` and
+    lowers the count of each position it holds, so a later vector may
+    find a position freed.  No vector is updated and no row dict is
+    modified.  Returns the positions taken, in order: each taken vector is
+    zero at the positions taken before it, and so is every vector left.
+    """
+    count = Counter(chain.from_iterable(live.values()))
+    taken = []
+    for i in sorted(live):
+        row = live[i]
+        if units:
+            private = [j for j, v in row.items()
+                       if count[j] == 1 and (v == 1 or v == -1)]
+        else:
+            private = [j for j in row if count[j] == 1]
+        if private:
+            taken.append(min(private))
+            for j in row:
+                count[j] -= 1
+            del live[i]
+    return taken
+
+
 def rank(m, skip=(), pivots=None):
     """Rank of a matrix over Q or F_p (DomainNotField over Z).
 
     The stored columns with an index in `skip` are left out; when `pivots`
     is a list, every pivot position (a row index of m) is appended to it.
+    A stored column that alone holds some position is taken there by the
+    peel, unscaled, and only the others reach the eliminator.
     """
     _require_field(m)
     # the stored columns are the eliminated vectors (rank = rank of m^T)
     rows = _stored_columns(m, skip)
+    taken = _peel(rows, False)
     if isinstance(m.domain, GF):
-        taken = _eliminate(rows, _choose_short_column,
-                           _update_mod(m.domain.p))[0]
+        taken += _eliminate(rows, _choose_short_column,
+                            _update_mod(m.domain.p))[0]
     else:
         # over Q the +-1 pivots go first, as in the Smith form; the rows
         # left have no unit entry and take the fraction-free rule
-        taken, residual = _eliminate(_int_rows(rows), _choose_unit,
-                                     _update_unit)
+        ones, residual = _eliminate(_int_rows(rows), _choose_unit,
+                                    _update_unit)
+        taken += ones
         taken += _eliminate(residual, _choose_smallest_entry,
                             _update_fraction_free)[0]
     if pivots is not None:
@@ -786,8 +850,9 @@ def smith_normal_form(m, skip=(), pivots=None):
     """Invariant factors of an integer matrix.
 
     The stored columns with an index in `skip` are left out; when `pivots`
-    is a list, the positions of the +-1 pivots of the sparse phase are
-    appended to it, and not those of the dense core.
+    is a list, the positions of the +-1 pivots of the peel and the sparse
+    phase are appended to it, and not those of the dense core.  The peel
+    takes a stored column only at a +-1 that no other column holds.
     """
     if m.domain != ZZ:
         raise DomainNotField("smith_normal_form expects a Z matrix")
@@ -795,8 +860,10 @@ def smith_normal_form(m, skip=(), pivots=None):
     # what is left has no unit entry and goes to the dense core
     # the stored columns are the eliminated vectors: the invariant factors
     # of m and m^T agree
-    ones, residual = _eliminate(_stored_columns(m, skip), _choose_unit,
-                                _update_unit)
+    rows = _stored_columns(m, skip)
+    ones = _peel(rows, True)
+    more, residual = _eliminate(rows, _choose_unit, _update_unit)
+    ones += more
     if pivots is not None:
         pivots.extend(ones)
     factors = [1] * len(ones)

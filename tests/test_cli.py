@@ -31,7 +31,11 @@ def test_parse_ring():
     assert parse_ring("Z") == (ZZ, "Z")
     dom, s = parse_ring("F5")
     assert s == "Fp:5" and dom.p == 5
-    for bad in ("F6", "F1", "F", "X", "q"):
+    # only ASCII digits name a prime ("\u00b2" is a superscript two,
+    # "\u0663" an Arabic-Indic three), and a prime too large to be decided
+    # is refused like a composite
+    for bad in ("F6", "F1", "F", "X", "q", "F\u00b2", "F\u0663",
+                "F3317044064679887385961981"):
         with pytest.raises(UsageError):
             parse_ring(bad)
 

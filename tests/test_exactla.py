@@ -1,6 +1,7 @@
 """Exact linear algebra: examples, sympy cross-checks, and properties."""
 
 import random
+import time
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
@@ -624,6 +625,146 @@ def test_rank_memory_of_a_reduced_bar_differential(dom):
         tracemalloc.stop()
     assert (d.rows, d.cols, d.nnz(), r) == (16384, 4096, 20150, 3276)
     assert peak < 2.75 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the peel: a vector that alone holds a position is taken there before the
+# eliminator runs, which changes the work and never the answer
+
+
+def _unpeeled_rank(m, skip, pivots):
+    # rank as it was with no peel, kept as the reference
+    rows = exactla._stored_columns(m, skip)
+    if isinstance(m.domain, GF):
+        taken = exactla._eliminate(rows, exactla._choose_short_column,
+                                   exactla._update_mod(m.domain.p))[0]
+    else:
+        taken, residual = exactla._eliminate(
+            exactla._int_rows(rows), exactla._choose_unit,
+            exactla._update_unit)
+        taken += exactla._eliminate(residual, exactla._choose_smallest_entry,
+                                    exactla._update_fraction_free)[0]
+    pivots.extend(taken)
+    return len(taken)
+
+
+def _unpeeled_factors(m, skip, pivots):
+    # the invariant factors as they were with no peel, kept as the reference
+    ones, residual = exactla._eliminate(exactla._stored_columns(m, skip),
+                                        exactla._choose_unit,
+                                        exactla._update_unit)
+    pivots.extend(ones)
+    factors = [1] * len(ones)
+    if residual:
+        cols = sorted({j for r in residual.values() for j in r})
+        dense = [[r.get(j, 0) for j in cols] for r in residual.values()]
+        factors.extend(exactla._snf_dense(dense, len(cols)))
+    return tuple(factors)
+
+
+@st.composite
+def _peelable(draw):
+    # sparse columns over few positions, so that some positions are held
+    # by one column and others by several
+    dom = draw(st.sampled_from((GF(2), GF(3), QQ, ZZ)))
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    values = st.sampled_from([1, -1, 2, -2, 3])
+    if dom == QQ:
+        values = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    ent = draw(st.dictionaries(
+        st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)), values,
+        min_size=1, max_size=2 * c))
+    return Mat(r, c, dom, ent), draw(st.sets(st.integers(0, c - 1),
+                                             max_size=c // 2))
+
+
+def _rows_at(m, skip, positions):
+    """m without the columns in skip, restricted to the rows in positions."""
+    at = {i: k for k, i in enumerate(positions)}
+    return Mat(len(positions), m.cols, m.domain, {
+        (at[i], j): v for (i, j), v in m.items()
+        if i in at and j not in skip})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_peelable())
+def test_peel_matches_the_unpeeled_eliminator(case):
+    m, skip = case
+    got, want = [], []
+    if m.domain == ZZ:
+        factors = smith_normal_form(m, skip, got).invariant_factors
+        assert factors == _unpeeled_factors(m, skip, want)
+        assert len(got) <= factors.count(1)
+    else:
+        k = rank(m, skip, got)
+        assert k == _unpeeled_rank(m, skip, want) == len(got)
+    assert len(set(got)) == len(got) and set(got) <= set(range(m.rows))
+    # the pivot vectors project onto the pivot positions invertibly (over
+    # Z unimodularly), which is what clearing by them needs
+    at = _rows_at(m, skip, got)
+    if m.domain == ZZ:
+        assert _unpeeled_factors(at, (), []) == (1,) * len(got)
+    else:
+        assert _unpeeled_rank(at, (), []) == len(got)
+
+
+def test_peel_takes_units_only_over_z():
+    # position 0 is held by the first column alone, but with a 2, which is
+    # no unit: that column is left for the dense core and its position is
+    # not reported
+    m = Mat.from_columns(3, 2, ZZ, {0: {0: 2}, 1: {1: 1, 2: 3}}.items())
+    pivots = []
+    assert smith_normal_form(m, (), pivots).invariant_factors == (1, 2)
+    assert pivots == [1]
+
+
+def test_cleared_rank_memory_builds_no_index_for_lone_vectors():
+    # S11 reduced d^6 over F_2 (65536 x 16384, 90,438 nonzeros), cleared by
+    # the pivots of d^5: every vector it keeps alone holds a position, so
+    # the eliminator's column index is never built; building it for every
+    # vector peaked at 8.05 MB, the peel alone at 4.31 MB
+    cx = reduced_bar_complex(catalog("S11", GF(2)), top_degree=7)
+    pivots = []
+    for q in range(6):
+        skip, pivots = pivots, []
+        rank(cx.diffs[q], skip, pivots)
+    d = cx.diffs[6]
+    tracemalloc.start()
+    try:
+        r = rank(d, pivots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.rows, d.cols, d.nnz(), len(pivots), r) == (
+        65536, 16384, 90438, 3276, 13108)
+    assert peak <= 5.5 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# primality of the field characteristic
+
+
+def test_is_prime_is_fast_and_refuses_pseudoprimes():
+    t = time.perf_counter()
+    assert exactla._is_prime(10 ** 18 + 3)
+    assert exactla._is_prime(2 ** 61 - 1)
+    assert GF(10 ** 18 + 3).p == 10 ** 18 + 3
+    assert time.perf_counter() - t < 1.0
+    # strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not exactla._is_prime(n)
+    assert [p for p in range(60) if exactla._is_prime(p)] == [
+        p for p in range(60) if sympy.isprime(p)]
+    for bad in (6, 1, 0, 2047):
+        with pytest.raises(ValueError, match="not prime"):
+            GF(bad)
+
+
+def test_is_prime_refuses_beyond_its_proven_bound():
+    for n in (exactla._PRIME_BOUND, 10 ** 30):
+        with pytest.raises(ValueError, match="too large"):
+            GF(n)
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,12 @@ complexes:
                            intermediate coefficient modules of the rank-3
                            worked examples
 
-The quotient's action matrices come straight from the columns of its
-projection: a E_ij = sum_r a[r,i] E_rj and E_ij a = sum_c a[j,c] E_ic, so
-each action column is a sum of projection columns over the nonzeros of a.
+The quotient, the sandwich and the Jordan-block complex's M_n/J_n (in its
+own unit order) come from one builder, `_unit_classes`: one Echelon of
+A's basis followed by matrix units gives the class of every matrix unit,
+and the actions are sums of classes, a E_ij = sum_r a[r,i] E_rj and
+E_ij a = sum_c a[j,c] E_ic, over the nonzeros of a.  No matrix is
+inverted and no product is formed.
 
 plus `detect_splitting`, which finds the idempotent/radical decomposition
 feeding the small complex of `complexes.cibils_complex` (its ideal and
@@ -286,7 +289,9 @@ class Bimodule:
 
     left[i] / right[i] are the m x m action matrices of the i-th algebra
     basis vector.  tags name the basis vectors; a matrix-unit class is
-    tagged ("unit", i, j).
+    tagged ("unit", i, j).  A bimodule of unit classes that reach all of
+    M_n (M_n/A among them) also has proj, the m x n^2 matrix sending a
+    row-major vec(X) to the class of X.
     """
 
     def __init__(self, algebra, tags, left, right, name=None):
@@ -308,80 +313,98 @@ class Bimodule:
 
 
 def quotient_bimodule(A):
-    """M_n / A with basis chosen by a row-major greedy scan of matrix units,
-    or over Z, if those miss the quotient lattice, by leaving out the pivot
-    positions of the +-1 elimination of A's basis (triangular +-1 pivots
-    make G unimodular).  Built once per algebra and kept on it.
+    """M_n / A on the classes of the matrix units that a row-major greedy
+    scan keeps, or over Z, if those miss the quotient lattice, of the units
+    off the pivot positions of the +-1 elimination of A's basis (triangular
+    +-1 pivots make their classes integral).  The projection vec(X) ->
+    class of X is kept as `proj`.  Built once per algebra and kept on it.
     """
     if A._quotient is None:
         n = A.n
         name = "M%d/%s" % (n, A.name or "A")
-        span = _span_echelon(A.basis, A.domain)
-        kept = [(i, j) for i in range(n) for j in range(n)
-                if span.add({i * n + j: 1})]
-        assert len(kept) == n * n - A.dim
         try:
-            A._quotient = _bimodule_from_units(A, kept, name)
+            A._quotient = _unit_classes(
+                A, [divmod(t, n) for t in range(n * n)], (), name)
         except NotSaturated:
             P = set(_eliminate({k: _flat(b) for k, b in enumerate(A.basis)},
                                _choose_unit, _update_unit)[0])
             if len(P) < A.dim:
                 raise
-            A._quotient = _bimodule_from_units(
-                A, [divmod(t, n) for t in range(n * n) if t not in P], name)
+            A._quotient = _unit_classes(
+                A, [divmod(t, n) for t in range(n * n) if t not in P], (),
+                name)
+        assert A._quotient.dim == n * n - A.dim
     return A._quotient
 
 
-def _bimodule_from_units(A, kept, name):
-    """M_n / A on the classes of the matrix units `kept`.
+def _unit_classes(A, num, den, name):
+    """span(A, num) / span(A, den) on the classes of the units num.
 
-    Let P be the positions outside `kept`.  The basis restricted to P is a
-    d x d block G; its inverse re-bases A to w_1..w_d with w_i equal to 1
-    at P[i] and 0 at the rest of P.  The projection proj (vec(X) -> class
-    coordinates) is then the identity on kept positions and sends the unit
-    at P[i] to -w_i restricted to the kept positions.  Over Z the units
-    must span the quotient lattice, i.e. G^-1 must be integral.
+    num and den are 0-based (i, j) positions.  One Echelon holds A's basis,
+    the den units, the num units (each kept when independent) and the
+    remaining units, numbered from m on: a basis of M_n.  The class of E_t
+    is its coordinates over the kept and remaining units, and the actions
+    sum classes.  A span is stable when no action column has a coordinate
+    over a remaining unit.  Over Z a non-integral class of a unit inside
+    span(A, num), or of an action, means the kept units miss the quotient
+    lattice; for M_n/A (A saturated) that is the d x d block of A at the
+    other positions failing to be unimodular.  With no remaining unit the
+    bimodule keeps proj, vec(X) -> class of X.
     """
-    n, dom, d = A.n, A.domain, A.dim
+    n, dom = A.n, A.domain
     fdom = QQ if dom == ZZ else dom
-    pos = {i * n + j: q for q, (i, j) in enumerate(kept)}
-    P = [t for t in range(n * n) if t not in pos]
-    span = Mat(d, n * n, fdom, {(k, t): v for k, b in enumerate(A.basis)
-                                for t, v in _flat(b).items()})
-    ginv = mat_inverse(Mat(d, d, fdom, {(k, s): span.entry(k, t)
-                                        for k in range(d)
-                                        for s, t in enumerate(P)}))
-    if dom == ZZ and any(v.denominator != 1 for _, v in ginv.items()):
-        raise NotSaturated("unit classes do not span the quotient lattice")
-    # pcols[t]: column t of proj as [(row, value)]
-    pcols = [[] for _ in range(n * n)]
-    for t, q in pos.items():
-        pcols[t].append((q, 1))
-    for (i, t), v in ginv.mul(span).items():
-        if t in pos:
-            pcols[P[i]].append((pos[t], dom.normalize(-v)))
-    m = len(kept)
-    proj = Mat(m, n * n, dom, {(q, t): v for t, col in enumerate(pcols)
-                               for q, v in col})
-    left, right = [], []
+    span = _span_echelon(A.basis, dom)
+    for i, j in den:
+        span.add({i * n + j: 1})
+    lo, held = span.rank, {}  # held: unit -> its index past A and den
+    for t in [i * n + j for i, j in num]:
+        if span.add({t: 1}):
+            held[t] = len(held)
+    kept = [divmod(t, n) for t in held]
+    m, full, units = len(kept), span.rank == n * n, kept + list(den)
+    for t in range(n * n):
+        if span.rank < n * n and span.add({t: 1}):
+            held[t] = len(held)
+    cls = [{held[t]: 1} if t in held else
+           {k - lo: v for k, v in span.coords({t: 1}).items() if k >= lo}
+           for t in range(n * n)]
+    left, right, off = [], [], []  # off: the images of the den units
     for a in A.basis:
         acols, arows = {}, {}
         for (r, c), v in a.items():
-            acols.setdefault(c, []).append((r, v))
-            arows.setdefault(r, []).append((c, v))
-        lent, rent = {}, {}
-        for q, (i, j) in enumerate(kept):
+            acols.setdefault(c, []).append((v, r * n))
+            arows.setdefault(r, []).append((v, c))
+        lcols, rcols = [], []
+        for i, j in units:
             # a E_ij = sum_r a[r,i] E_rj;  E_ij a = sum_c a[j,c] E_ic
-            for r, v in acols.get(i, ()):
-                for p, u in pcols[r * n + j]:
-                    lent[(p, q)] = lent.get((p, q), 0) + v * u
-            for c, v in arows.get(j, ()):
-                for p, u in pcols[i * n + c]:
-                    rent[(p, q)] = rent.get((p, q), 0) + v * u
-        left.append(Mat(m, m, dom, lent))
-        right.append(Mat(m, m, dom, rent))
-    bm = Bimodule(A, [("unit", i, j) for (i, j) in kept], left, right, name)
-    bm.proj = proj
+            lcol, rcol = {}, {}
+            for v, rn in acols.get(i, ()):
+                for p, u in cls[rn + j].items():
+                    lcol[p] = lcol.get(p, 0) + v * u
+            for v, c in arows.get(j, ()):
+                for p, u in cls[i * n + c].items():
+                    rcol[p] = rcol.get(p, 0) + v * u
+            lcols.append(lcol)
+            rcols.append(rcol)
+        left.append(Mat.from_columns(m, m, fdom, enumerate(lcols[:m])))
+        right.append(Mat.from_columns(m, m, fdom, enumerate(rcols[:m])))
+        off += lcols[m:] + rcols[m:]
+    if not all(x.rows_in_range() for x in left + right):
+        raise AlgebraError("span is not stable under the algebra action")
+    if any(any(map(fdom.normalize, c.values())) for c in off):
+        raise AlgebraError("denominator span is not a sub-bimodule")
+    # the classes of the units inside span(A, num): every unit when full
+    proj = Mat.from_columns(m, n * n, fdom, (
+        (t, c) for t, c in enumerate(cls) if max(c, default=-1) < m))
+    if dom == ZZ:
+        mats = [proj] + left + right
+        if any(type(v) is not int for x in mats for _, v in x.items()):
+            raise NotSaturated("unit classes do not span the quotient lattice")
+        proj, *mats = [x.change_domain(ZZ) for x in mats]
+        left, right = mats[:A.dim], mats[A.dim:]
+    bm = Bimodule(A, [("unit", i, j) for i, j in kept], left, right, name)
+    if full:
+        bm.proj = proj
     return bm
 
 
@@ -435,46 +458,18 @@ def sandwich_bimodule(A, numerator_units, denominator_units=(), name=None):
     The unit lists are (row, col) pairs, 1-based to match the usual E_ij
     notation.  Both spans must be stable under multiplication by A on both
     sides, and the denominator span must sit inside the numerator span.
+    The classes are read as for the quotient (`_unit_classes`), so over Z
+    the kept numerator units must span the quotient lattice (NotSaturated
+    otherwise), and with every unit as numerator and none as denominator
+    this is quotient_bimodule(A) whenever the row-major scan suffices.
     """
-    n, dom = A.n, A.domain
-
-    def unit(ij):
-        i, j = ij
-        return _unit_matrix(n, i - 1, j - 1, dom)
-
-    num = [unit(t) for t in numerator_units]
-    den = [unit(t) for t in denominator_units]
-
-    # numerator space basis: denominator space basis followed by kept units
-    space = _span_echelon(list(A.basis) + den, dom)
-    dden = space.rank
-    kept = [(t, u) for t, u in zip(numerator_units, num)
-            if space.add(_flat(u))]
-    m = len(kept)
-
-    def cls(mat):
-        sol = space.coords(_flat(mat))
-        if sol is NoSolution:
-            raise AlgebraError("span is not stable under the algebra action")
-        return {k - dden: v for k, v in sol.items() if k >= dden}
-
-    left = [Mat.from_columns(m, m, dom, ((q, cls(a.mul(u)))
-                                         for q, (_, u) in enumerate(kept)))
-            for a in A.basis]
-    right = [Mat.from_columns(m, m, dom, ((q, cls(u.mul(a)))
-                                          for q, (_, u) in enumerate(kept)))
-             for a in A.basis]
-    # stability of the denominator span on its own
-    for a in A.basis:
-        for u in den:
-            for prod in (a.mul(u), u.mul(a)):
-                sol = space.coords(_flat(prod))
-                if sol is NoSolution or any(k >= dden for k in sol):
-                    raise AlgebraError(
-                        "denominator span is not a sub-bimodule")
-    tags = [("unit", t[0] - 1, t[1] - 1) for t, _ in kept]
-    return Bimodule(A, tags, left, right,
-                    name or "sandwich over %s" % (A.name or "A"))
+    n = A.n
+    num, den = ([(i - 1, j - 1) for i, j in us]
+                for us in (numerator_units, denominator_units))
+    if not all(0 <= x < n for ij in num + den for x in ij):
+        raise IndexError("entry outside a %dx%d matrix" % (n, n))
+    return _unit_classes(A, num, den,
+                         name or "sandwich over %s" % (A.name or "A"))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ H^*(A, M) = H^*(eAe, eMe) (Loday, Cyclic Homology, 1.2), and e(M_n/A)e is
 the canonical quotient of the corner.
 """
 
-from .algebra import (AlgebraError, NotSplit, detect_splitting, morita_corner,
-                      quotient_bimodule)
+from .algebra import AlgebraError, NotSplit, detect_splitting, morita_corner
 from .complexes import (DEFAULT_SIZE_BUDGET, bar_complex, cibils_complex,
                         jn_periodic_complex, reduced_bar_complex)
 from .exactla import ZZ, rank, smith_normal_form
@@ -174,15 +173,12 @@ def cohomology_of(A, method="auto", degrees=range(0, 5),
                                  budget=budget)
     elif method == "cibils":
         B, sp = target or _cibils_target(A)
-        cx = cibils_complex(B, splitting=sp, M=quotient_bimodule(B),
-                            top_degree=need_top, budget=budget)
+        cx = cibils_complex(B, splitting=sp, top_degree=need_top,
+                            budget=budget)
     elif method == "reduced":
-        A1 = A.with_unit_first()
-        cx = reduced_bar_complex(A1, M=quotient_bimodule(A1),
-                                 top_degree=need_top, budget=budget)
+        cx = reduced_bar_complex(A, top_degree=need_top, budget=budget)
     elif method == "bar":
-        cx = bar_complex(A, M=quotient_bimodule(A), top_degree=need_top,
-                         budget=budget)
+        cx = bar_complex(A, top_degree=need_top, budget=budget)
     else:
         raise ValueError("unknown method %r" % (method,))
     result = compute_cohomology(cx, degs)

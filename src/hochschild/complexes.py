@@ -49,8 +49,8 @@ coefficient pairing.
 from functools import cached_property
 from operator import neg
 
-from .algebra import (AlgebraError, _bimodule_from_units, catalog,
-                      detect_splitting, quotient_bimodule)
+from .algebra import (AlgebraError, _unit_classes, catalog, detect_splitting,
+                      quotient_bimodule)
 from .exactla import Mat
 
 DEFAULT_SIZE_BUDGET = 2_000_000
@@ -454,7 +454,7 @@ def jn_periodic_complex(n, domain, top_degree=None,
         top_degree = DEFAULT_TOP_DEGREE["jn_periodic"]
     A = catalog("J", domain, n)
     kept = [(i, j) for i in range(n - 1, 0, -1) for j in range(n)]
-    M = _bimodule_from_units(A, kept, name="M%d/J%d" % (n, n))
+    M = _unit_classes(A, kept, (), "M%d/J%d" % (n, n))
     m = M.dim
     _check_budget([m], budget, "jn_periodic")
     commutator = M.right[1].sub(M.left[1])

@@ -81,8 +81,7 @@ those of the dense core.
 (2, 4)
 """
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -773,10 +772,7 @@ def solve(m, rhs):
 # Smith normal form
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    invariant_factors: tuple
-    rank: int
+SmithForm = namedtuple("SmithForm", "invariant_factors rank")
 
 
 def _snf_dense(m, ncols):

@@ -4,7 +4,8 @@ For a d-dimensional subalgebra A of the n-by-n matrices this module
 computes:
 
 - the normalizer N(A) = { X : [X, a] lies in A for every a in A },
-  as the kernel of a stacked linear system over the coefficient domain;
+  as the kernel of a stacked linear system over the coefficient domain,
+  read from the actions and projection of M_n/A;
 - the space of derivations A -> M_n/A (the 1-cocycles of the bar
   complex with quotient coefficients);
 - the tangent dimension  dim H^1 + n^2 - dim N(A), cross-checked
@@ -32,34 +33,22 @@ _SMOOTH_CAVEAT = (
 def normalizer(A):
     """Basis and dimension of N(A) = { X : [X, a] in span(A) for all a }.
 
-    Over a field the dimension is the kernel dimension of the stacked
-    system  proj([X, a_i]) = 0;  over the integers the same system is
-    solved with a saturated integer kernel basis, so the count is the
-    rank of N(A) as a lattice (which equals the rational dimension).
-    The returned basis always spans a space containing A itself.
+    [X, a] mod A is (R_a - L_a) proj(X), with L_a, R_a the actions of a on
+    M_n/A and proj its projection: it holds on matrix units, and [X', a]
+    lies in A for every X' in A.  Stacking those m x n^2 blocks over the
+    basis gives the system whose kernel is N(A).  Over a field the
+    dimension is its kernel dimension; over the integers the same system
+    is solved with a saturated integer kernel basis, so the count is the
+    rank of N(A) as a lattice (which equals the rational dimension).  The
+    returned basis always spans a space containing A itself.
     """
-    n, d, dom = A.n, A.dim, A.domain
-    proj = quotient_bimodule(A).proj
-    m = proj.rows
-    stacked = {}
-    for i, a in enumerate(A.basis):
-        # commutator-with-a as a matrix on vec(X), X row-major:
-        # [X, a](r, c) = sum_s X(r, s) a(s, c) - sum_s a(r, s) X(s, c),
-        # kept as raw sums that Mat() normalizes once
-        K = {}
-        for (s, c), v in a.items():
-            for r in range(n):
-                key = (r * n + c, r * n + s)
-                K[key] = K.get(key, 0) + v
-        for (r, s), v in a.items():
-            for c in range(n):
-                key = (r * n + c, s * n + c)
-                K[key] = K.get(key, 0) - v
-        pk = proj.mul(Mat(n * n, n * n, dom, K))
-        for (rr, cc), v in pk.items():
-            stacked[(i * m + rr, cc)] = v
-    system = Mat(d * m, n * n, dom, stacked)
-    vecs = kernel_basis(system)
+    n, dom = A.n, A.domain
+    M = quotient_bimodule(A)
+    m = M.dim
+    blocks = [R.add(L.scale(-1)) for L, R in zip(M.left, M.right)]
+    vecs = kernel_basis(Mat(A.dim * m, m, dom, {
+        (i * m + p, q): v for i, x in enumerate(blocks)
+        for (p, q), v in x.items()}).mul(M.proj))
     basis = [Mat(n, n, dom, {(r, c): vec[r * n + c]
                              for r in range(n) for c in range(n)})
              for vec in vecs]
@@ -76,8 +65,7 @@ def derivation_space(A, M=None, budget=DEFAULT_SIZE_BUDGET):
     These are exactly the 1-cocycles of the bar complex, so the count
     is rank C^1 minus rank of the degree-1 differential.
     """
-    cx = bar_complex(A, M=M if M is not None else quotient_bimodule(A),
-                     top_degree=2, budget=budget)
+    cx = bar_complex(A, M=M, top_degree=2, budget=budget)
     return cx.ranks[1] - rank(cx.diffs[1].change_domain(QQ)
                               if A.domain == ZZ else cx.diffs[1])
 

@@ -668,3 +668,61 @@ def test_quotient_over_z_refuses_without_unit_pivots():
     assert quotient_bimodule(verify_subalgebra(2, QQ, basis)).dim == 2
     with pytest.raises(NotSaturated, match="quotient lattice"):
         quotient_bimodule(verify_subalgebra(2, ZZ, basis))
+
+
+# ---------------------------------------------------------------------------
+# the sandwich reads its classes like the quotient
+
+ALL_UNITS = {n: [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+             for n in range(2, 6)}
+
+
+def _same_bimodule(a, b):
+    return (a.tags, a.left, a.right) == (b.tags, b.left, b.right)
+
+
+@pytest.mark.parametrize("dom", ORACLE_RINGS, ids=repr)
+def test_sandwich_on_every_unit_is_the_quotient(dom):
+    # the row-major units are unimodular on every one of these, so the
+    # quotient keeps its first choice and the sandwich makes the same one
+    for name in ALL_NAMES + ORACLE_EXTRA:
+        A = _oracle_algebra(name, dom)
+        assert _same_bimodule(sandwich_bimodule(A, ALL_UNITS[A.n]),
+                              quotient_bimodule(A)), name
+
+
+def test_sandwich_over_z_refuses_a_sublattice():
+    # the algebra of test_quotient_over_z_falls_back_to_unit_pivots: the
+    # row-major units span a sublattice of index 2 of M_4(Z) / A, on which
+    # the bar complex would read H^1 = H^3 = 0 instead of Z/2
+    def fallback_algebra(dom):
+        return verify_subalgebra(4, dom, [Mat(4, 4, dom, ent) for ent in (
+            {(0, 0): 1, (2, 2): 1}, {(0, 1): 2, (2, 3): 1},
+            {(1, 0): 1, (3, 2): 2}, {(1, 1): 1, (3, 3): 1})])
+    Q = fallback_algebra(QQ)
+    assert _same_bimodule(sandwich_bimodule(Q, ALL_UNITS[4]),
+                          quotient_bimodule(Q))
+    Z = fallback_algebra(ZZ)
+    assert quotient_bimodule(Z).dim == 12
+    with pytest.raises(NotSaturated, match="quotient lattice"):
+        sandwich_bimodule(Z, ALL_UNITS[4])
+    # span{I, X}, X = [[2, 3], [0, 0]]: no two units span M_2(Z) / A
+    basis = [I2, [[2, 3], [0, 0]]]
+    assert sandwich_bimodule(verify_subalgebra(2, QQ, basis),
+                             ALL_UNITS[2]).dim == 2
+    with pytest.raises(NotSaturated, match="quotient lattice"):
+        sandwich_bimodule(verify_subalgebra(2, ZZ, basis), ALL_UNITS[2])
+
+
+@pytest.mark.parametrize("dom", ORACLE_RINGS, ids=repr)
+def test_sandwich_refusals_on_every_ring(dom):
+    A = catalog("S11", dom)
+    # E12 * E21 = E11 lies outside span(A + E21): as a numerator that span
+    # is not stable, and as the denominator of span(A + E11 + E21) it is
+    # not a sub-bimodule
+    with pytest.raises(AlgebraError, match="not stable"):
+        sandwich_bimodule(A, [(2, 1)])
+    with pytest.raises(AlgebraError, match="not a sub-bimodule"):
+        sandwich_bimodule(A, [(1, 1), (2, 1)], [(2, 1)])
+    # the stable tower of test_sandwich_bimodules_for_triangular_tower
+    assert sandwich_bimodule(A, [(1, 1), (2, 1)], [(1, 1)]).dim == 1

@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -557,3 +560,17 @@ def test_malformed_files_exit_cleanly(tmp_path, capsys, case):
     path.write_text(text, encoding="utf-8")
     rc, _, err = run(capsys, "compute", "--file", str(path), "--ring", ring)
     assert rc in (2, 3) and err.startswith("error: "), (text, ring, err)
+
+
+def test_import_loads_no_introspection_modules():
+    # each launch compiles src/ when bytecode is not written, and the
+    # dataclasses chain (inspect, ast, dis, tokenize) was about a fifth of
+    # the import; a fresh interpreter without site shows what cli pulls in
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    code = ("import sys; sys.path.insert(0, %r); import hochschild.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', "
+            "'tokenize'} & set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

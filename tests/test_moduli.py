@@ -2,10 +2,11 @@
 
 import pytest
 
-from hochschild.algebra import catalog, verify_subalgebra
+from hochschild.algebra import (catalog, conjugate_algebra, quotient_bimodule,
+                                verify_subalgebra)
 from hochschild.cohomology import cohomology_of
 from hochschild.complexes import SizeBudgetExceeded
-from hochschild.exactla import GF, QQ, ZZ, Mat, rank
+from hochschild.exactla import GF, QQ, ZZ, Mat, kernel_basis, rank
 from hochschild.moduli import (INCONCLUSIVE, YES, ModuliReport, certificates,
                                derivation_space, moduli_report, normalizer,
                                normalizer_dim, tangent_dimension)
@@ -39,6 +40,44 @@ def _stack_flat(mats, n):
         for (i, j), v in m.items():
             entries[(r, i * n + j)] = v
     return Mat(len(mats), n * n, QQ, entries)
+
+
+def _commutator_normalizer(A):
+    """N(A) from the explicit system proj([X, a_i]) = 0, with one
+    n^2 x n^2 commutator matrix per basis element, as kernel vectors."""
+    n, dom = A.n, A.domain
+    proj = quotient_bimodule(A).proj
+    m = proj.rows
+    stacked = {}
+    for i, a in enumerate(A.basis):
+        # [X, a](r, c) = sum_s X(r, s) a(s, c) - sum_s a(r, s) X(s, c)
+        K = {}
+        for (s, c), v in a.items():
+            for r in range(n):
+                K[(r * n + c, r * n + s)] = K.get((r * n + c, r * n + s),
+                                                  0) + v
+        for (r, s), v in a.items():
+            for c in range(n):
+                K[(r * n + c, s * n + c)] = K.get((r * n + c, s * n + c),
+                                                  0) - v
+        for (rr, cc), v in proj.mul(Mat(n * n, n * n, dom, K)).items():
+            stacked[(i * m + rr, cc)] = v
+    return kernel_basis(Mat(A.dim * m, n * n, dom, stacked))
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), GF(3), ZZ], ids=repr)
+def test_normalizer_matches_the_commutator_system(dom):
+    # normalizer reads [X, a] mod A from the quotient's actions instead
+    algebras = [catalog(name, dom) for name in ALL_NAMES + ("B5", "P22")]
+    algebras += [conjugate_algebra(catalog(name, dom), P) for name, P in (
+        ("S11", [[1, 2, 0], [0, 1, 3], [0, 0, 1]]),
+        ("B3", [[1, 0, 0], [1, 1, 0], [2, 1, 1]]))]
+    for A in algebras:
+        n = A.n
+        basis, dim = normalizer(A)
+        assert [tuple(b.entry(r, c) for r in range(n) for c in range(n))
+                for b in basis] == _commutator_normalizer(A), A
+        assert dim == len(basis)
 
 
 def test_normalizer_contains_algebra():

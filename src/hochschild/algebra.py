@@ -340,20 +340,21 @@ def quotient_bimodule(A):
 def _unit_classes(A, num, den, name):
     """span(A, num) / span(A, den) on the classes of the units num.
 
-    num and den are 0-based (i, j) positions.  One Echelon holds A's basis,
-    the den units, the num units (each kept when independent) and the
-    remaining units, numbered from m on: a basis of M_n.  The class of E_t
-    is its coordinates over the kept and remaining units, and the actions
-    sum classes.  A span is stable when no action column has a coordinate
-    over a remaining unit.  Over Z a non-integral class of a unit inside
-    span(A, num), or of an action, means the kept units miss the quotient
-    lattice; for M_n/A (A saturated) that is the d x d block of A at the
-    other positions failing to be unimodular.  With no remaining unit the
-    bimodule keeps proj, vec(X) -> class of X.
+    num and den are 0-based (i, j) positions.  One Echelon, a copy of the
+    one validation kept, holds A's basis, the den units, the num units
+    (each kept when independent) and the remaining units, numbered from m
+    on: a basis of M_n.  The class of E_t is its coordinates over the kept
+    and remaining units, and the actions sum classes.  A span is stable
+    when no action column has a coordinate over a remaining unit.  Over Z a
+    non-integral class of a unit inside span(A, num), or of an action,
+    means the kept units miss the quotient lattice; for M_n/A (A saturated)
+    that is the d x d block of A at the other positions failing to be
+    unimodular.  With no remaining unit the bimodule keeps proj, vec(X) ->
+    class of X.
     """
     n, dom = A.n, A.domain
     fdom = QQ if dom == ZZ else dom
-    span = _span_echelon(A.basis, dom)
+    span = A._span.copy()
     for i, j in den:
         span.add({i * n + j: 1})
     lo, held = span.rank, {}  # held: unit -> its index past A and den
@@ -789,13 +790,15 @@ def _parabolic_basis(parts, domain):
     return basis, n
 
 
+def _catalog_key(name):
+    """A catalog name spelled as the catalog keys it ("m2_x,d1" -> "M2xD1")."""
+    return (str(name).strip().upper().replace(",", "").replace("_", "")
+            .replace("X", "x"))
+
+
 def catalog(name, domain, params=None):
     """A named subalgebra (table entries and the classical families)."""
-    key = str(name).strip().upper().replace(",", "").replace("_", "")
-    key = key.replace("X", "x")
-    # normalize product names like "M2XD1"
-    if "x" in key:
-        key = "x".join(s.upper() for s in key.split("x"))
+    key = _catalog_key(name)
     if key in _SHAPES_DEG2 or key in _SHAPES_DEG3:
         shapes = _SHAPES_DEG2.get(key) or _SHAPES_DEG3.get(key)
         A = verify_subalgebra(len(shapes), domain,
@@ -844,9 +847,7 @@ def catalog(name, domain, params=None):
 
 def catalog_info(name):
     """Static facts recorded for a fixed catalog entry."""
-    key = str(name).strip().upper()
-    if "X" in key:
-        key = "x".join(s.upper() for s in key.split("X"))
+    key = _catalog_key(name)
     table = {}
     table.update({k: 2 for k in CATALOG_DEG2})
     table.update({k: 3 for k in CATALOG_DEG3})

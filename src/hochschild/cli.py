@@ -28,9 +28,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import (CATALOG_DEG2, CATALOG_DEG3, AlgebraError, NotSplit,
-                      detect_splitting, validate_splitting, verify_subalgebra,
-                      catalog, structure_constants_ok)
+from .algebra import (AlgebraError, NotSplit, detect_splitting,
+                      validate_splitting, verify_subalgebra, catalog,
+                      structure_constants_ok)
 from .cohomology import DegreeOutOfRange, cohomology_of
 from .complexes import DEFAULT_SIZE_BUDGET, SizeBudgetExceeded
 from .exactla import GF, QQ, ZZ

@@ -164,13 +164,7 @@ def cohomology_of(A, method="auto", degrees=range(0, 5),
     if method == "auto":
         method, target = pick_method(A)
     if method == "jn":
-        fam = A.meta.get("family")
-        if not fam or fam[0] != "J":
-            raise ValueError(
-                "the periodic method applies only to the Jordan-block "
-                "truncated polynomial family")
-        cx = jn_periodic_complex(fam[1], A.domain, top_degree=need_top,
-                                 budget=budget)
+        cx = jn_periodic_complex(A, top_degree=need_top, budget=budget)
     elif method == "cibils":
         B, sp = target or _cibils_target(A)
         cx = cibils_complex(B, splitting=sp, top_degree=need_top,

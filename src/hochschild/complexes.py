@@ -49,7 +49,7 @@ coefficient pairing.
 from functools import cached_property
 from operator import neg
 
-from .algebra import (AlgebraError, _unit_classes, catalog, detect_splitting,
+from .algebra import (AlgebraError, _unit_classes, detect_splitting,
                       quotient_bimodule)
 from .exactla import Mat
 
@@ -438,26 +438,29 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
                          sp.radical_products, comp)
 
 
-def jn_periodic_complex(n, domain, top_degree=None,
-                        budget=DEFAULT_SIZE_BUDGET):
+def jn_periodic_complex(A, top_degree=None, budget=DEFAULT_SIZE_BUDGET):
     """2-periodic complex for the Jordan-block truncated polynomial algebra.
 
+    A is a catalog J_n, basis x^0..x^{n-1} (ValueError off the family).
     Coefficients are the canonical quotient of the matrix ring by the
     algebra, on the matrix-unit classes E_ij with i = n..2 (top-down) and
     j = 1..n; with that basis the even-degree differential is the
     commutator-with-x matrix and the odd-degree differential is the norm
     map, which is verified to vanish.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    fam = A.meta.get("family")
+    if not fam or fam[0] != "J":
+        raise ValueError(
+            "the periodic method applies only to the Jordan-block "
+            "truncated polynomial family")
     if top_degree is None:
         top_degree = DEFAULT_TOP_DEGREE["jn_periodic"]
-    A = catalog("J", domain, n)
+    n, domain = A.n, A.domain
     kept = [(i, j) for i in range(n - 1, 0, -1) for j in range(n)]
     M = _unit_classes(A, kept, (), "M%d/J%d" % (n, n))
     m = M.dim
     _check_budget([m], budget, "jn_periodic")
-    commutator = M.right[1].sub(M.left[1])
+    commutator = M.right[1].add(M.left[1].scale(-1))
     norm = Mat.zeros(m, m, domain)
     for i in range(n):
         norm = norm.add(M.left[i].mul(M.right[n - 1 - i]))

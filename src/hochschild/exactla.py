@@ -271,7 +271,8 @@ class Mat:
         """Matrix from (col, {row: value}) pairs, normalized as in Mat(); for
         builders whose indices are in range by construction (not checked:
         see rows_in_range)."""
-        m = cls(rows, cols, domain)
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.domain = rows, cols, domain
         m._c = m._normalized(columns)
         return m
 
@@ -316,12 +317,6 @@ class Mat:
     def is_zero(self):
         return not self._c
 
-    def to_rows(self):
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.items():
-            out[i][j] = v
-        return out
-
     def transpose(self):
         return Mat(self.cols, self.rows, self.domain,
                    {(j, i): v for (i, j), v in self.items()})
@@ -335,12 +330,6 @@ class Mat:
         for k, v in other.items():
             ent[k] = ent.get(k, 0) + v
         return Mat(self.rows, self.cols, self.domain, ent)
-
-    def neg(self):
-        return self.scale(-1)
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def scale(self, c):
         c = self.domain.normalize(c)
@@ -727,6 +716,13 @@ class Echelon:
                            {k: norm(inv * v) for k, v in trans.items()}))
         self.rank += 1
         return True
+
+    def copy(self):
+        """A new Echelon on the same recorded rows (never modified in place),
+        which grows apart from this one."""
+        out = Echelon(self.domain)
+        out.rank, out._rows = self.rank, list(self._rows)
+        return out
 
     def coords(self, row):
         """Coordinates of row in the recorded basis as {index: nonzero

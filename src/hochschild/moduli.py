@@ -3,11 +3,10 @@
 For a d-dimensional subalgebra A of the n-by-n matrices this module
 computes:
 
-- the normalizer N(A) = { X : [X, a] lies in A for every a in A },
-  as the kernel of a stacked linear system over the coefficient domain,
-  read from the actions and projection of M_n/A;
-- the space of derivations A -> M_n/A (the 1-cocycles of the bar
-  complex with quotient coefficients);
+- the normalizer N(A) = { X : [X, a] lies in A for every a in A }, the
+  kernel of d^0 of the bar complex on M_n/A lifted through its projection;
+- the derivations A -> M_n/A, the 1-cocycles of the same complex (the
+  report reads both from one bar complex to degree 2, under its budget);
 - the tangent dimension  dim H^1 + n^2 - dim N(A), cross-checked
   against the derivation dimension;
 - two one-sided certificates: H^2 = 0 certifies smoothness of the
@@ -16,7 +15,6 @@ computes:
   answer is reported as "inconclusive", never "no".
 """
 
-from .algebra import quotient_bimodule
 from .cohomology import cohomology_of
 from .complexes import DEFAULT_SIZE_BUDGET, bar_complex
 from .exactla import QQ, ZZ, Mat, kernel_basis, rank
@@ -30,28 +28,35 @@ _SMOOTH_CAVEAT = (
     "deformation problem may still be smooth at this point.")
 
 
+def _normalizer(cx):
+    """N(A) as n x n matrices from a bar complex on M_n/A: d^0 proj(X)
+    lists [a, X] mod A over the basis a, so N(A) is its kernel."""
+    n, dom = cx.algebra.n, cx.domain
+    vecs = kernel_basis(cx.diffs[0].mul(cx.module.proj))
+    return [Mat(n, n, dom, {(r, c): vec[r * n + c]
+                            for r in range(n) for c in range(n)})
+            for vec in vecs]
+
+
+def _derivations(cx):
+    """dim Der(A, M) = dim Z^1 of a bar complex, over Q for an integer one."""
+    d1 = cx.diffs[1]
+    return cx.ranks[1] - rank(d1.change_domain(QQ) if cx.domain == ZZ else d1)
+
+
 def normalizer(A):
     """Basis and dimension of N(A) = { X : [X, a] in span(A) for all a }.
 
-    [X, a] mod A is (R_a - L_a) proj(X), with L_a, R_a the actions of a on
-    M_n/A and proj its projection: it holds on matrix units, and [X', a]
-    lies in A for every X' in A.  Stacking those m x n^2 blocks over the
-    basis gives the system whose kernel is N(A).  Over a field the
-    dimension is its kernel dimension; over the integers the same system
-    is solved with a saturated integer kernel basis, so the count is the
-    rank of N(A) as a lattice (which equals the rational dimension).  The
-    returned basis always spans a space containing A itself.
+    N(A) is the kernel of d^0 proj, d^0 being the first differential of
+    the bar complex on M_n/A, whose ranks m and d m stay within the budget
+    d n^2.  Over a field the dimension is its kernel dimension; over the
+    integers the same system is solved with a saturated integer kernel
+    basis, so the count is the rank of N(A) as a lattice (which equals the
+    rational dimension).  The returned basis always spans a space
+    containing A itself.
     """
-    n, dom = A.n, A.domain
-    M = quotient_bimodule(A)
-    m = M.dim
-    blocks = [R.add(L.scale(-1)) for L, R in zip(M.left, M.right)]
-    vecs = kernel_basis(Mat(A.dim * m, m, dom, {
-        (i * m + p, q): v for i, x in enumerate(blocks)
-        for (p, q), v in x.items()}).mul(M.proj))
-    basis = [Mat(n, n, dom, {(r, c): vec[r * n + c]
-                             for r in range(n) for c in range(n)})
-             for vec in vecs]
+    basis = _normalizer(bar_complex(A, top_degree=1,
+                                    budget=A.dim * A.n * A.n))
     return basis, len(basis)
 
 
@@ -65,9 +70,7 @@ def derivation_space(A, M=None, budget=DEFAULT_SIZE_BUDGET):
     These are exactly the 1-cocycles of the bar complex, so the count
     is rank C^1 minus rank of the degree-1 differential.
     """
-    cx = bar_complex(A, M=M, top_degree=2, budget=budget)
-    return cx.ranks[1] - rank(cx.diffs[1].change_domain(QQ)
-                              if A.domain == ZZ else cx.diffs[1])
+    return _derivations(bar_complex(A, M=M, top_degree=2, budget=budget))
 
 
 def _h_dim(record):
@@ -81,19 +84,9 @@ def _h_is_zero(record):
     return record["free_rank"] == 0 and not record["torsion"]
 
 
-def tangent_dimension(A, h1=None, ndim=None, budget=DEFAULT_SIZE_BUDGET):
-    """dim H^1 + n^2 - dim N(A), cross-checked against derivation_space."""
-    if h1 is None:
-        h1 = _h_dim(cohomology_of(A, degrees=[1], budget=budget)[1])
-    if ndim is None:
-        ndim = normalizer(A)[1]
-    tangent = h1 + A.n * A.n - ndim
-    der = derivation_space(A, budget=budget)
-    if der != tangent:
-        raise RuntimeError(
-            "internal check failed: derivation dimension %d != tangent "
-            "dimension %d" % (der, tangent))
-    return tangent
+def tangent_dimension(A, budget=DEFAULT_SIZE_BUDGET):
+    """dim H^1 + n^2 - dim N(A), checked by the moduli report."""
+    return moduli_report(A, budget=budget).tangent_dim
 
 
 def certificates(A, method="auto", budget=DEFAULT_SIZE_BUDGET):
@@ -147,13 +140,20 @@ def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET, result=None):
     if res is None or not {0, 1, 2} <= set(res.degrees):
         res = cohomology_of(A, method=method, degrees=[0, 1, 2],
                             budget=budget)
+    cx = bar_complex(A, top_degree=2, budget=budget)
     h0, h1, h2 = res[0], res[1], res[2]
-    basis, ndim = normalizer(A)
+    basis = _normalizer(cx)
+    ndim = len(basis)
     if _h_dim(h0) != ndim - A.dim:
         raise RuntimeError(
             "internal check failed: dim H^0 = %d but dim N(A) - d = %d"
             % (_h_dim(h0), ndim - A.dim))
-    tangent = tangent_dimension(A, h1=_h_dim(h1), ndim=ndim, budget=budget)
+    tangent = _h_dim(h1) + A.n * A.n - ndim
+    der = _derivations(cx)
+    if der != tangent:
+        raise RuntimeError(
+            "internal check failed: derivation dimension %d != tangent "
+            "dimension %d" % (der, tangent))
     smooth = YES if _h_is_zero(h2) else INCONCLUSIVE
     orbit = YES if _h_is_zero(h1) else INCONCLUSIVE
     return ModuliReport(

@@ -88,7 +88,8 @@ def test_criterion_04_differentials_compose_to_zero():
             assert res.complex.dd_verified
             checked += 1
     for n in range(2, 6):
-        assert jn_periodic_complex(n, ZZ, top_degree=6).dd_verified
+        assert jn_periodic_complex(catalog("J", ZZ, n),
+                                   top_degree=6).dd_verified
         checked += 1
     _ok(4, "d.d = 0 verified exactly on %d complexes (constructors "
         "always check)" % checked)

@@ -185,6 +185,15 @@ def test_jn_family_metadata():
     assert catalog("J3", QQ).meta["family"] == ("J", 3)
 
 
+@pytest.mark.parametrize("spelling,key", [
+    ("P2,1", "P21"), ("p_21", "P21"), ("M2_XD1", "M2xD1"), ("s_11", "S11"),
+    ("m2xd1", "M2xD1"), (" b2 ", "B2")])
+def test_catalog_info_reads_every_spelling_catalog_reads(spelling, key):
+    assert catalog(spelling, QQ).name == key
+    assert catalog_info(spelling) == catalog_info(key)
+    assert catalog_info(spelling)["name"] == key
+
+
 def test_transpose_info_matches_pairs():
     for a, b in TRANSPOSE_PAIRS:
         assert catalog_info(a)["transpose"] == b
@@ -523,6 +532,21 @@ def test_quotient_bimodule_matches_dense_oracle(name, dom):
 def test_quotient_bimodule_is_built_once():
     A = catalog("S11", QQ)
     assert quotient_bimodule(A) is quotient_bimodule(A)
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), ZZ], ids=repr)
+def test_unit_classes_leave_the_validated_echelon_alone(dom):
+    # the bimodule builders grow a copy of the echelon kept by validation
+    A = catalog("S11", dom)
+    rows = list(A._span._rows)
+    copies = [tuple(map(dict, r[1:])) for r in rows]
+    quotient_bimodule(A)
+    sandwich_bimodule(A, [(1, 1), (2, 1)], [(1, 1)])
+    sandwich_bimodule(A, [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)])
+    assert A._span.rank == A.dim == len(A._span._rows)
+    assert all(x is y for x, y in zip(A._span._rows, rows))
+    assert [tuple(map(dict, r[1:])) for r in A._span._rows] == copies
+    assert A.member_coords(A.basis[1]) == {1: 1}
 
 
 # ---------------------------------------------------------------------------

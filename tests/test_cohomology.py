@@ -64,7 +64,7 @@ def test_pick_method():
 
 
 def test_degree_guards():
-    cx = jn_periodic_complex(3, QQ, top_degree=4)
+    cx = jn_periodic_complex(catalog("J", QQ, 3), top_degree=4)
     with pytest.raises(DegreeOutOfRange):
         compute_cohomology(cx, degrees=[4])
     with pytest.raises(DegreeOutOfRange):
@@ -164,6 +164,20 @@ def test_corner_search_is_bounded(monkeypatch):
         except NotSplit:
             assert not built  # e = 1: no corner is built
         assert len(products) <= A.dim ** 2, (A, len(products))
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("method", ["auto", "jn"])
+def test_jn_reads_the_requested_algebra(monkeypatch, method):
+    # the periodic complex is built on the catalog J_n it is given, so the
+    # request validates no second copy of it
+    for dom in (QQ, ZZ):
+        A = catalog("J", dom, 5)
+        built = _count_calls(monkeypatch, hochschild.algebra,
+                             "verify_subalgebra")
+        res = cohomology_of(A, method=method, degrees=range(4))
+        assert not built
+        assert res.method_tag == "jn_periodic" and res.complex.algebra is A
         monkeypatch.undo()
 
 

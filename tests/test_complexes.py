@@ -263,7 +263,7 @@ def test_fibonacci_ranks_for_auxiliary_bimodule():
 # the 2-periodic complex for the Jordan-block family
 
 def test_periodic_complex_j3_matrices():
-    cx = jn_periodic_complex(3, ZZ, top_degree=6)
+    cx = jn_periodic_complex(catalog("J", ZZ, 3), top_degree=6)
     assert cx.ranks == (6,) * 7
     even = cx.diffs[0]
     assert dict(even.items()) == JORDAN3_COMMUTATOR
@@ -275,7 +275,7 @@ def test_periodic_complex_j3_matrices():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_periodic_complex_structure(n):
-    cx = jn_periodic_complex(n, ZZ, top_degree=5)
+    cx = jn_periodic_complex(catalog("J", ZZ, n), top_degree=5)
     size = n * (n - 1)
     assert cx.ranks == (size,) * 6
     sf = smith_normal_form(cx.diffs[0])
@@ -286,7 +286,7 @@ def test_periodic_complex_structure(n):
 
 def test_periodic_complex_field_domains():
     for dom in (QQ, GF(2), GF(3)):
-        cx = jn_periodic_complex(3, dom, top_degree=4)
+        cx = jn_periodic_complex(catalog("J", dom, 3), top_degree=4)
         assert cx.ranks == (6,) * 5
         assert cx.dd_verified
 

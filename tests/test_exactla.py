@@ -708,6 +708,21 @@ def test_peel_matches_the_unpeeled_eliminator(case):
         assert _unpeeled_rank(at, (), []) == len(got)
 
 
+def test_from_columns_normalizes_once(monkeypatch):
+    calls = []
+    orig = Mat._normalized
+
+    def counted(self, columns):
+        calls.append(1)
+        return orig(self, columns)
+    monkeypatch.setattr(Mat, "_normalized", counted)
+    m = Mat.from_columns(2, 3, QQ, [(0, {0: 2, 1: 0}),
+                                    (2, {1: Fraction(1, 2)})])
+    assert len(calls) == 1
+    assert (m.rows, m.cols, m.domain) == (2, 3, QQ)
+    assert dict(m.items()) == {(0, 0): 2, (1, 2): Fraction(1, 2)}
+
+
 def test_peel_takes_units_only_over_z():
     # position 0 is held by the first column alone, but with a 2, which is
     # no unit: that column is left for the dense core and its position is

@@ -809,7 +809,7 @@ def catalog(name, domain, params=None):
     fam = key
     if params is None and len(key) > 1 and key[0] in "MBDCJ" and key[1:].isdigit():
         fam, params = key[0], int(key[1:])
-    if key[0] == "P" and params is None and key[1:].isdigit():
+    if key.startswith("P") and params is None and key[1:].isdigit():
         fam, params = "P", tuple(int(c) for c in key[1:])
     if params is None:
         raise UnknownName("unknown catalog name %r" % (name,))

@@ -340,17 +340,26 @@ def _check_limits(args):
 def cmd_compute(args):
     domain, ring_str = parse_ring(args.ring)
     _check_limits(args)
-    if args.algebra:
+    if args.algebra is not None:
         try:
             A = catalog(args.algebra, domain)
         except AlgebraError as e:
             raise UsageError(str(e))
     else:
         A = load_algebra_file(args.file, domain)
+    # the moduli report reads H^0..H^2 from the same request
+    top = max(args.max_degree, 2) if args.moduli else args.max_degree
     try:
-        res = cohomology_of(A, method=args.method,
-                            degrees=range(args.max_degree + 1),
+        res = cohomology_of(A, method=args.method, degrees=range(top + 1),
                             budget=args.size_budget)
+    except SizeBudgetExceeded:
+        # a refusal of the printed degrees alone names their own largest
+        # cochain space, so it comes first
+        if top > args.max_degree:
+            cohomology_of(A, method=args.method,
+                          degrees=range(args.max_degree + 1),
+                          budget=args.size_budget)
+        raise
     except ValueError as e:
         if isinstance(e, (AlgebraError, DegreeOutOfRange)):
             raise
@@ -358,6 +367,7 @@ def cmd_compute(args):
     report = (moduli_report(A, method=args.method, budget=args.size_budget,
                             result=res)
               if args.moduli else None)
+    res.records = res.records[:args.max_degree + 1]  # the printed degrees
     doc = result_document(A, ring_str, res, report)
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"

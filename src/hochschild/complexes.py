@@ -13,23 +13,25 @@ actions that are not zero are listed once per coordinate, before any word,
 so a column walks only the letters that act on its coordinate: in the bar
 complex of an incidence algebra most letters act by zero on each one.
 
-Each differential is built from the one before (a prefix recursion).  The
-pairs (word, q) are laid out lexicographically, word first.  X_p(a, s) is
-the space of pairs (word of p letters from block a, coordinate q of block
-(s, the word's target)), in that layout; the pairs of C^{p+1} that begin
-with a letter w0: s -> a are one run, laid out as X_p(a, s), so prepending
-w0 is a constant offset and no word is ever a tuple on this path.  Column
-(w0 w', q) of d^p is the left actions on q plus F^p(w0 w', q), the
-products and the right action, and
+Each differential is built from the one before (a prefix recursion).
+X_p(a, s) is the space of pairs (word of p letters from block a, coordinate
+q of block (s, the word's target)), laid out lexicographically, word first;
+its pairs that begin with a letter w0: a -> b are one run, laid out as
+X_{p-1}(b, s), so prepending w0 is a constant offset and no word is ever a
+tuple on this path.  C^p is X_p(s, s) for each source block s in increasing
+order, so its labels are grouped by the word's source block, then
+lexicographic.  F^p, the products and the right action of d^p, maps X_p(a,
+s) to X_{p+1}(a, s):
 
     F^p(w0 w', q) = I0(w0 w', q) - shift_w0 F^{p-1}(w', q),
     F^0(q) = -sum_k R_k q,
 
 where I0 holds the products u v that have a w0 component, at rows
-(u v w', q), and shift_w0 moves X_p(a, s) onto w0's run.  F^{p-1} is kept
-on the X_{p-1}(a, s) that some later degree reads, one degree at a time;
-when every letter leaves one block s, C^p is X_p(s, s), and d^p stores
-F^p as it goes.  The sizes of X_p(a, s) follow the same count as the
+(u v w', q), and shift_w0 moves X_p(b, s) onto w0's run.  Column (w, q) of
+d^p on X_p(s, s) is F^p(w, q), moved to the place of X_{p+1}(s, s) in
+C^{p+1}, plus the left actions on q; one generator computes F^p for both.
+F^{p-1} is kept on the X_{p-1}(a, s) that some later degree reads, one
+degree at a time.  The sizes of X_p(a, s) follow the same count as the
 ranks, before any work.
 
     bar_complex          all of A's basis, one block: rank d^p * m
@@ -47,6 +49,7 @@ coefficient pairing.
 """
 
 from functools import cached_property
+from itertools import chain, count
 from operator import neg
 
 from .algebra import (AlgebraError, _unit_classes, detect_splitting,
@@ -156,31 +159,41 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         pos.append(len(qs))
         qs.append(q)
     live = {s for s, _ in by_block}
+    order = sorted(live)
     into, out_of = {}, {}
     for k in letters:
         s, t = grading[k]
         into.setdefault(t, []).append(k)
         out_of.setdefault(s, []).append(k)
-    diag = [q for q, (s, t) in enumerate(comp) if s == t]
 
     # size[p][a, s]: the rank of X_p(a, s), for each letter's end a and each
-    # source s with coordinates; runs[p] = {letter k: first index of the
-    # pairs that begin with k} in C^p, whose run of k is X_{p-1}(target,
-    # source)
+    # source s with coordinates.  C^p is X_p(s, s) for each s in order, from
+    # base[p][s] on; for p >= 1 only the heads, the sources that letters
+    # leave, have pairs, and cruns[p] = {letter k: first index of the pairs
+    # that begin with k} in C^p, whose run of k is X_{p-1}(target, source)
     ends = {e for k in letters for e in grading[k]}
     size = [{(a, s): len(by_block.get((s, a), ())) for a in ends
              for s in live}]
-    runs, ranks = [None], [len(diag)]
+    base, cruns, n = [{}], [None], 0
+    for s in order:
+        base[0][s] = n
+        n += len(by_block.get((s, s), ()))
+    ranks = [n]
+    heads = [(s, out_of[s]) for s in order if s in out_of]
     for _ in range(top_degree):
-        x, y, run, n = size[-1], dict.fromkeys(size[-1], 0), {}, 0
+        x, y, b, run, n = size[-1], dict.fromkeys(size[-1], 0), {}, {}, 0
+        for s, ks in heads:
+            b[s] = n
+            for k in ks:
+                run[k] = n
+                n += x[grading[k][1], s]
         for k in letters:
-            a, b = grading[k]
-            run[k] = n
-            n += x.get((b, a), 0)
+            a, t = grading[k]
             for s in live:
-                y[a, s] += x[b, s]
+                y[a, s] += x[t, s]
         size.append(y)
-        runs.append(run)
+        base.append(b)
+        cruns.append(run)
         ranks.append(n)
     _check_budget(ranks, budget, tag)
 
@@ -237,94 +250,71 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
 
     targets = {}  # _word_targets' lists, per (length, first block)
 
-    def add_actions(col, q, side, offs, sign):
-        """col plus sign times the side's actions on q, the rows of the
-        i-th letter of the side's list starting at offs[i]."""
-        get = col.get
-        for i, pairs in acts[q][side]:
-            off = offs[i]
-            for r, v in pairs:
-                key = off + r
-                col[key] = get(key, 0) + sign * v
-        return col
-
-    def tails(p, w0, s, run1, F):
-        """([(first row, c)] for the products u v with c w0 in them,
-        -F^{p-1} on the tails, shift) for the run of w0 in the layout run1
-        of C^{p+1} or X_{p+1}: column j of F^p on the run is -c at each
-        row first + j plus column j of -F^{p-1} shifted down to the run."""
-        return ([(run1[u] + xrun(p, grading[u][1], s)[v], c)
-                 for u, v, c in prodmap[w0]], F[grading[w0][1], s],
-                run1[w0].__add__)
-
-    def columns(p, F, keep):
-        """(column, raw column) of d^p, each the left actions plus F^p;
-        F^p's columns are appended to keep unless it is None."""
-        run1 = runs[p + 1]
-        if not p:
-            for j, q in enumerate(diag):
-                left, right = sides[comp[q]]
-                col = add_actions({}, q, 1, [run1[k] for k in right], -1)
-                if keep is not None:
-                    keep.append((tuple(col), tuple(map(neg, col.values()))))
-                yield j, add_actions(col, q, 0, [run1[k] for k in left], 1)
-            return
-        j = 0
-        for w0 in letters:
-            s, a = grading[w0]
-            if not size[p - 1].get((a, s)):
-                continue
-            inner, prev, shift = tails(p, w0, s, run1, F)
-            # at[s2]: the first index of w0 w' in X_p(s, s2), where the
-            # row word k w0 w' of a left letter k from s2 begins
-            at = {s2: xrun(p, s, s2)[w0] for s2 in lsrc[s]}
+    def f_columns(p, a, s, F, keep=None, crun=None):
+        """F^p on X_p(a, s), one {row: value} column at a time, with rows in
+        X_{p+1}(a, s); (rows, -values) of each is appended to keep unless it
+        is None.  With crun, each letter's first index in C^{p+1}, a = s and
+        the columns are those of d^p on X_p(s, s): F^p with its rows moved
+        by base[p+1][s], plus the left actions, where the row word k w of a
+        letter k: s2 -> s begins at k's run plus w's place in X_p(s, s2)."""
+        run1 = xrun(p + 1, a, s) if crun is None else crun
+        for w0 in out_of.get(a, ()) if p else (None,):
+            if p:
+                b = grading[w0][1]
+                if not size[p - 1][b, s]:
+                    continue
+                # column i of F^p on w0's run is -c at each row first + i
+                # for the products u v with c w0 in them, plus column i of
+                # -F^{p-1} (kept from base[p][s] on when b = s) moved to
+                # the run
+                inner = [(run1[u] + xrun(p, grading[u][1], s)[v], c)
+                         for u, v, c in prodmap[w0]]
+                prev = F[b, s]
+                shift = (run1[w0] - (base[p][s] if b == s else 0)).__add__
+                ts = _word_targets(p - 1, b, out_of, grading, targets)
+            else:
+                # one run, block (s, a): minus the right actions
+                roffs = [run1[k] for k in sides[s, a][1]]
+                ts = (a,)
+            if crun is not None:
+                # at[s2]: the place in X_p(s, s2) of the run's next word
+                at = {s2: xrun(p, s, s2)[w0] if p else 0 for s2 in lsrc[s]}
             i = 0
-            for t in _word_targets(p - 1, a, out_of, grading, targets):
+            for t in ts:
                 qs = by_block.get((s, t), ())
-                if qs:
-                    offs = [run1[k] + at[grading[k][0]]
-                            for k in sides[s, t][0]]
-                for s2 in at:
-                    at[s2] += len(by_block.get((s2, t), ()))
+                if crun is not None:
+                    if qs:
+                        offs = [crun[k] + at[grading[k][0]]
+                                for k in sides[s, t][0]]
+                    for s2 in at:
+                        at[s2] += len(by_block.get((s2, t), ()))
                 for q in qs:
-                    rows, vals = prev[i]
-                    col = dict(zip(map(shift, rows), vals)) if rows else {}
-                    get = col.get
-                    for off, c in inner:
-                        key = off + i
-                        col[key] = get(key, 0) - c
+                    if p:
+                        rows, vals = prev[i]
+                        col = dict(zip(map(shift, rows), vals)) if rows else {}
+                        get = col.get
+                        for off, c in inner:
+                            key = off + i
+                            col[key] = get(key, 0) - c
+                        i += 1
+                    else:
+                        col = {}
+                        get = col.get
+                        for h, pairs in acts[q][1]:
+                            off = roffs[h]
+                            for r, v in pairs:
+                                key = off + r
+                                col[key] = get(key, 0) - v
                     if keep is not None:
                         keep.append((tuple(col),
                                      tuple(map(neg, col.values()))))
-                    for h, pairs in acts[q][0]:
-                        off = offs[h]
-                        for r, v in pairs:
-                            key = off + r
-                            col[key] = get(key, 0) + v
-                    yield j, col
-                    j += 1
-                    i += 1
-
-    def tail_columns(p, a, s, F):
-        """-F^p on X_p(a, s), as (rows, values) per column: for p = 0, the
-        right actions."""
-        run1 = xrun(p + 1, a, s)
-        if not p:
-            ks = sides.get((s, a), ((), ()))[1]
-            cols = [add_actions({}, q, 1, [run1[k] for k in ks], -1)
-                    for q in by_block.get((s, a), ())]
-        else:
-            cols = []
-            for w0 in out_of.get(a, ()):
-                if not size[p - 1][grading[w0][1], s]:
-                    continue
-                inner, prev, shift = tails(p, w0, s, run1, F)
-                for i, (rows, vals) in enumerate(prev):
-                    col = dict(zip(map(shift, rows), vals))
-                    for off, c in inner:
-                        col[off + i] = col.get(off + i, 0) - c
-                    cols.append(col)
-        return [(tuple(col), tuple(map(neg, col.values()))) for col in cols]
+                    if crun is not None:
+                        for h, pairs in acts[q][0]:
+                            off = offs[h]
+                            for r, v in pairs:
+                                key = off + r
+                                col[key] = get(key, 0) + v
+                    yield col
 
     # need[p]: the (a, s) whose F^p a later degree reads: d^{p+1} reads
     # X_p(target, source) of each letter, and F^{p+1} on X_{p+1}(a, s) reads
@@ -336,37 +326,36 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         need[p] = {(a, s) for a, s in first.union(
             (grading[k][1], s) for a, s in need[p + 1]
             for k in out_of.get(a, ())) if size[p][a, s]}
-    # when the letters from sources with coordinates all leave one s, C^p is
-    # X_p(s, s) for p >= 1 (the runs of the other letters are empty), and so
-    # is C^0 when its coordinates are those of block (s, s); d^p then stores
-    # -F^p as it goes
-    srcs = live.intersection(grading[k][0] for k in letters)
-    shared = (min(srcs),) * 2 if len(srcs) == 1 else None
 
-    # F holds -F^{p-1} on the X_{p-1}(a, s) of need[p - 1]
+    # F holds -F^{p-1} on the X_{p-1}(a, s) of need[p - 1]; d^p keeps it on
+    # each X_p(s, s), and the other X_p(a, s) are walked for it alone.  The
+    # columns of X_p(s, s) are numbered from base[p][s], so a source whose
+    # columns are all zero is left out: one that is no letter's end, whose
+    # X_p(s, s) is empty for p >= 1 and whose coordinates nothing moves
     diffs, F = [], {}
     for p in range(top_degree):
-        G, keep = {}, None
-        if shared in need[p] and (p or diag == by_block[shared]):
-            keep = G[shared] = []
-        diffs.append(Mat.from_columns(ranks[p + 1], ranks[p], dom,
-                                      columns(p, F, keep)))
+        G = {key: [] for key in need[p]}
+        diffs.append(Mat.from_columns(
+            ranks[p + 1], ranks[p], dom, chain.from_iterable(
+                zip(count(base[p][s]),
+                    f_columns(p, s, s, F, G.get((s, s)), cruns[p + 1]))
+                for s in order if size[p].get((s, s)))))
         for a, s in need[p]:
-            if (a, s) not in G:
-                G[a, s] = tail_columns(p, a, s, F)
+            if a != s:
+                for _ in f_columns(p, a, s, F, G[a, s]):
+                    pass
         F = G
 
-    def block(w):
-        return grading[w[0]][0], grading[w[-1]][1]
-
     def labels():
-        yield [((), q) for q in diag]
-        words = [(k,) for k in letters if grading[k][0] in live]
+        yield [((), q) for s in order for q in by_block.get((s, s), ())]
+        words = {s: [(k,) for k in out_of.get(s, ())] for s in order}
         for p in range(top_degree):
             if p:
-                words = [w + (k,) for w in words
-                         for k in out_of.get(grading[w[-1]][1], ())]
-            yield [(w, q) for w in words for q in by_block.get(block(w), ())]
+                words = {s: [w + (k,) for w in ws
+                             for k in out_of.get(grading[w[-1]][1], ())]
+                         for s, ws in words.items()}
+            yield [(w, q) for s in order for w in words[s]
+                   for q in by_block.get((s, grading[w[-1]][1]), ())]
 
     return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
 

@@ -164,6 +164,15 @@ def test_catalog_unknown_and_bad_params():
             catalog(fam, ZZ, -1)
 
 
+@pytest.mark.parametrize("name", ["", "_", ",", " _, ", "P", "p_"])
+def test_catalog_refuses_names_empty_after_normalization(name):
+    # "_" and "," normalize to the empty key, like "" itself
+    with pytest.raises(UnknownName, match="unknown catalog name"):
+        catalog(name, QQ)
+    with pytest.raises(UnknownName):
+        catalog_info(name)
+
+
 def test_catalog_families():
     assert catalog("B", QQ, 4).dim == 10
     assert catalog("M", QQ, 4).dim == 16

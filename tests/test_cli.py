@@ -208,7 +208,7 @@ def test_table_computes_cohomology_once_per_row(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name,ring", [("J3", "Z"), ("S10", "F2")])
-@pytest.mark.parametrize("max_degree,passes", [(0, 2), (1, 2), (2, 1)])
+@pytest.mark.parametrize("max_degree,passes", [(0, 1), (1, 1), (2, 1)])
 def test_compute_moduli_reuses_its_cohomology(capsys, monkeypatch, name,
                                               ring, max_degree, passes):
     argv = ["compute", "--algebra", name, "--ring", ring, "--moduli"]
@@ -216,9 +216,44 @@ def test_compute_moduli_reuses_its_cohomology(capsys, monkeypatch, name,
     calls = _count_cohomology(monkeypatch)
     rc, out, _ = run(capsys, *argv, "--max-degree", str(max_degree))
     assert rc == 0
-    # below degree 2 the report computes its own H^0..H^2
+    # below degree 2 the request still reaches H^2, which the report reads
     assert len(calls) == passes
     assert json.loads(out)["moduli"] == json.loads(want)["moduli"]
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+def test_compute_moduli_builds_one_method_complex(capsys, monkeypatch,
+                                                  max_degree):
+    # the cibils complex of the request and the report's bar complex, also
+    # below degree 2, where the report reads H^2 from the same request
+    from hochschild import complexes
+    built, real = [], complexes._word_complex
+
+    def counted(tag, *args, **kwargs):
+        built.append(tag)
+        return real(tag, *args, **kwargs)
+    monkeypatch.setattr(complexes, "_word_complex", counted)
+    rc, out, _ = run(capsys, "compute", "--algebra", "S11", "--ring", "Q",
+                     "--moduli", "--max-degree", str(max_degree))
+    assert rc == 0
+    assert sorted(built) == ["bar", "cibils"]
+    assert [r["degree"] for r in json.loads(out)["H"]] == list(
+        range(max_degree + 1))
+
+
+@pytest.mark.parametrize("max_degree,budget,rank", [
+    (0, 10, 15), (1, 10, 45), (0, 50, 135), (2, 10, 135)])
+def test_compute_moduli_budget_refusal_names_the_first_space(
+        capsys, max_degree, budget, rank):
+    # N3's cibils ranks are 5, 15, 45, 135: a budget that refuses the
+    # printed degrees alone names their largest space, as a request without
+    # the report does; otherwise the report's H^2 names its own
+    rc, out, err = run(capsys, "compute", "--algebra", "N3", "--ring", "Q",
+                       "--moduli", "--max-degree", str(max_degree),
+                       "--size-budget", str(budget))
+    assert rc == 4 and not out
+    assert err == ("error: cibils complex needs a cochain space of rank %d "
+                   "> budget %d\n" % (rank, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +413,30 @@ def test_compute_parabolic_by_name(capsys):
 def test_exit_code_unknown_catalog_name(capsys):
     rc, _, err = run(capsys, "compute", "--algebra", "NOPE")
     assert rc == 2
+
+
+@pytest.mark.parametrize("name", ["", "_", ","])
+def test_exit_code_catalog_name_empty_after_normalization(capsys, name):
+    # an empty --algebra is a catalog name, not an absent one
+    rc, out, err = run(capsys, "compute", "--algebra", name, "--ring", "Q")
+    assert rc == 2 and not out
+    assert err == "error: unknown catalog name %r\n" % name
+
+
+# names with no digit draw no family size, so none names an algebra
+_NAME = st.text(st.characters(blacklist_categories=("Cs", "Nd", "Nl", "No")),
+                max_size=4)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.sampled_from(["", " ", "_", ",", "P", "x", "\u00e9"]),
+                 _NAME))
+def test_compute_unknown_names_exit_cleanly(capsys, name):
+    rc, out, err = run(capsys, "compute", "--algebra=" + name,
+                       "--max-degree", "0")
+    assert rc == 2 and not out, (name, err)
+    assert err.startswith("error: ") and "Traceback" not in err, (name, err)
 
 
 def test_argparse_usage_errors():

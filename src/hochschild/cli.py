@@ -51,7 +51,11 @@ def parse_ring(text):
     if text == "Z":
         return ZZ, "Z"
     if text.startswith("F") and text[1:].isascii() and text[1:].isdigit():
-        p = int(text[1:])
+        try:
+            p = int(text[1:])
+        except ValueError:  # too many digits to convert
+            raise UsageError("bad ring: F<p> with %d digits is too long"
+                             % (len(text) - 1))
         try:
             dom = GF(p)
         except ValueError as e:
@@ -148,10 +152,6 @@ def algebra_to_dict(A):
 
 # H patterns: value in degree i, parameterized by the field characteristic,
 # or the pair (free rank, torsion factors) over the integers.
-def _h_zero(i, c):
-    return 0
-
-
 def _h_const(k):
     return lambda i, c: k
 
@@ -182,10 +182,6 @@ def _h_unit_line(i, c):
     return 4 if i == 0 else 1
 
 
-def _z_zero(i):
-    return 0, ()
-
-
 def _z_const(k):
     return lambda i: (k, ())
 
@@ -205,30 +201,30 @@ def _z_of_field(f):
 _EXPECTED_ROWS = {
     2: [
         # name, field H(i, char), Z H(i), normalizer dim (generic, {char: dim}), tangent
-        ("M2", _h_zero, _z_zero, 4, {}, 0),
-        ("B2", _h_zero, _z_zero, 3, {}, 1),
-        ("D2", _h_zero, _z_zero, 2, {}, 2),
+        ("M2", _h_const(0), _z_const(0), 4, {}, 0),
+        ("B2", _h_const(0), _z_const(0), 3, {}, 1),
+        ("D2", _h_const(0), _z_const(0), 2, {}, 2),
         ("N2", _h_tor(1, 2), _z_tor(1, 2), 3, {2: 4}, 2),
         ("C2", _h_deg0(3), _z_deg0(3), 4, {}, 0),
     ],
     3: [
-        ("M3", _h_zero, _z_zero, 9, {}, 0),
-        ("P21", _h_zero, _z_zero, 7, {}, 2),
-        ("P12", _h_zero, _z_zero, 7, {}, 2),
-        ("B3", _h_zero, _z_zero, 6, {}, 3),
-        ("M2xD1", _h_zero, _z_zero, 5, {}, 4),
+        ("M3", _h_const(0), _z_const(0), 9, {}, 0),
+        ("P21", _h_const(0), _z_const(0), 7, {}, 2),
+        ("P12", _h_const(0), _z_const(0), 7, {}, 2),
+        ("B3", _h_const(0), _z_const(0), 6, {}, 3),
+        ("M2xD1", _h_const(0), _z_const(0), 5, {}, 4),
         ("S10", _h_tor(1, 2), _z_tor(1, 2), 6, {2: 7}, 4),
         ("S11", _h_low, _z_of_field(_h_low), 6, {}, 4),
         ("S12", _h_tor(1, 2), _z_tor(1, 2), 6, {2: 7}, 4),
-        ("S13", _h_zero, _z_zero, 5, {}, 4),
-        ("S14", _h_zero, _z_zero, 5, {}, 4),
-        ("B2xD1", _h_zero, _z_zero, 4, {}, 5),
+        ("S13", _h_const(0), _z_const(0), 5, {}, 4),
+        ("S14", _h_const(0), _z_const(0), 5, {}, 4),
+        ("B2xD1", _h_const(0), _z_const(0), 4, {}, 5),
         ("N3", _h_ladder, _z_of_field(_h_ladder), 6, {}, 5),
         ("S6", _h_const(1), _z_const(1), 5, {}, 5),
         ("S7", _h_deg0(3), _z_deg0(3), 7, {}, 2),
         ("S8", _h_deg0(3), _z_deg0(3), 7, {}, 2),
         ("S9", _h_const(1), _z_const(1), 5, {}, 5),
-        ("D3", _h_zero, _z_zero, 3, {}, 6),
+        ("D3", _h_const(0), _z_const(0), 3, {}, 6),
         ("N2xD1", _h_tor(1, 2), _z_tor(1, 2), 4, {2: 5}, 6),
         ("J3", _h_tor(2, 3), _z_tor(2, 3), 5, {3: 6}, 6),
         ("S2", _h_deg0(2), _z_deg0(2), 5, {}, 4),
@@ -347,28 +343,17 @@ def cmd_compute(args):
             raise UsageError(str(e))
     else:
         A = load_algebra_file(args.file, domain)
-    # the moduli report reads H^0..H^2 from the same request
-    top = max(args.max_degree, 2) if args.moduli else args.max_degree
+    request = dict(method=args.method, degrees=range(args.max_degree + 1),
+                   budget=args.size_budget)
     try:
-        res = cohomology_of(A, method=args.method, degrees=range(top + 1),
-                            budget=args.size_budget)
-    except SizeBudgetExceeded:
-        # a refusal of the printed degrees alone names their own largest
-        # cochain space, so it comes first
-        if top > args.max_degree:
-            cohomology_of(A, method=args.method,
-                          degrees=range(args.max_degree + 1),
-                          budget=args.size_budget)
-        raise
+        report = moduli_report(A, **request) if args.moduli else None
+        res = report.cohomology if args.moduli else cohomology_of(A, **request)
     except ValueError as e:
         if isinstance(e, (AlgebraError, DegreeOutOfRange)):
             raise
         raise UsageError(str(e))  # e.g. --method jn off the J_n family
-    report = (moduli_report(A, method=args.method, budget=args.size_budget,
-                            result=res)
-              if args.moduli else None)
-    res.records = res.records[:args.max_degree + 1]  # the printed degrees
     doc = result_document(A, ring_str, res, report)
+    del doc["H"][args.max_degree + 1:]  # the report may reach past D
     if args.format == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
@@ -387,19 +372,18 @@ def cmd_table(args):
     for row in rows:
         name = row[0]
         A = catalog(name, domain)
-        res = cohomology_of(A, degrees=degrees, budget=args.size_budget)
-        report = moduli_report(A, budget=args.size_budget, result=res)
+        report = moduli_report(A, degrees=degrees, budget=args.size_budget)
+        recs = report.cohomology.records[:len(degrees)]  # H^0..H^D
         entry = {
             "name": name,
             "d": A.dim,
-            "H": [_h_record(r) for r in res.records],
+            "H": [_h_record(r) for r in recs],
             "normalizer_dim": report.normalizer_dim,
             "tangent_dim": report.tangent_dim,
         }
         if args.expected:
             checks = []
-            for i in degrees:
-                rec = res[i]
+            for i, rec in enumerate(recs):
                 want = expected_cell(row, i, ring_str)
                 if "dim" in rec:
                     ok = rec["dim"] == want

@@ -119,9 +119,14 @@ class CochainComplex:
 def _check_budget(ranks, budget, tag):
     worst = max(ranks)
     if worst > budget:
+        try:
+            need = "%d" % worst
+        except ValueError:  # too many digits to print: an exact lower bound
+            need = "more than 10^%d" % ((worst.bit_length() - 1) * 30102
+                                       // 100000)
         raise SizeBudgetExceeded(
-            "%s complex needs a cochain space of rank %d > budget %d"
-            % (tag, worst, budget))
+            "%s complex needs a cochain space of rank %s > budget %d"
+            % (tag, need, budget))
 
 
 def _word_targets(p, a, out_of, grading, memo):
@@ -151,8 +156,6 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     if grading is None:
         grading = dict.fromkeys(letters, (0, 0))
         comp = [(0, 0)] * M.dim
-    if products is None:
-        products = {(u, v): A.mult[u][v] for u in letters for v in letters}
     by_block, pos = {}, []
     for q, st in enumerate(comp):
         qs = by_block.setdefault(st, [])
@@ -196,6 +199,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         cruns.append(run)
         ranks.append(n)
     _check_budget(ranks, budget, tag)
+    if products is None:
+        products = {(u, v): A.mult[u][v] for u in letters for v in letters}
 
     # per block of coordinates, sides[st][0] lists the letters acting on it
     # from the left and sides[st][1] those acting from the right; per

@@ -13,6 +13,16 @@ computes:
   deformation problem at A, and H^1 = 0 certifies that the conjugation
   orbit of A is open.  Nonvanishing proves nothing, so the negative
   answer is reported as "inconclusive", never "no".
+
+`moduli_report` builds the bar complex first, then H^p by the chosen method
+once, for the asked degrees and 0..2, and keeps that result on the report:
+
+>>> from hochschild import QQ, catalog
+>>> rep = moduli_report(catalog("N3", QQ), degrees=range(4))
+>>> rep.cohomology.dims(), rep.normalizer_dim, rep.tangent_dim
+((2, 2, 3, 4), 6, 5)
+>>> rep.h2 is rep.cohomology[2]
+True
 """
 
 from .cohomology import cohomology_of
@@ -98,11 +108,13 @@ def certificates(A, method="auto", budget=DEFAULT_SIZE_BUDGET):
 
 
 class ModuliReport:
-    """Bundle of normalizer, cohomology (degrees 0..2) and certificates."""
+    """Bundle of normalizer, cohomology (h0..h2 read from `cohomology`)
+    and certificates."""
 
     __slots__ = ("normalizer_dim", "normalizer_basis", "derivation_dim",
                  "h0", "h1", "h2", "tangent_dim", "smooth_certificate",
-                 "orbit_open_certificate", "caveat", "method_tag")
+                 "orbit_open_certificate", "caveat", "method_tag",
+                 "cohomology")
 
     def __init__(self, **kw):
         for k in self.__slots__:
@@ -126,21 +138,17 @@ class ModuliReport:
                    self.smooth_certificate, self.orbit_open_certificate))
 
 
-def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET, result=None):
-    """Full report at A.  Over the integers the dimension formulas use
-    free ranks (the saturated kernels make them agree with the rational
-    fiber), while the certificates demand full vanishing including
-    torsion.
-
-    result: a CohomologyResult already computed for A by `method`.  When
-    it holds degrees 0, 1 and 2 the report reads H^0..H^2 from it instead
-    of computing them again; otherwise it is ignored.
-    """
-    res = result
-    if res is None or not {0, 1, 2} <= set(res.degrees):
-        res = cohomology_of(A, method=method, degrees=[0, 1, 2],
-                            budget=budget)
+def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET,
+                  degrees=(0, 1, 2)):
+    """Full report at A, with H^p by `method` for `degrees` and 0..2 on
+    report.cohomology.  The bar complex to degree 2 (ranks d^p (n^2 - d),
+    no splitting needed) is built first, so its refusal precedes any other
+    work.  Over the integers the dimension formulas use free ranks (the
+    saturated kernels make them agree with the rational fiber), while the
+    certificates demand full vanishing including torsion."""
     cx = bar_complex(A, top_degree=2, budget=budget)
+    res = cohomology_of(A, method=method, degrees={0, 1, 2}.union(degrees),
+                        budget=budget)
     h0, h1, h2 = res[0], res[1], res[2]
     basis = _normalizer(cx)
     ndim = len(basis)
@@ -166,4 +174,5 @@ def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET, result=None):
         orbit_open_certificate=orbit,
         caveat=_SMOOTH_CAVEAT if smooth == INCONCLUSIVE else None,
         method_tag=res.method_tag,
+        cohomology=res,
     )

@@ -36,9 +36,9 @@ def test_parse_ring():
     assert s == "Fp:5" and dom.p == 5
     # only ASCII digits name a prime ("\u00b2" is a superscript two,
     # "\u0663" an Arabic-Indic three), and a prime too large to be decided
-    # is refused like a composite
+    # is refused like a composite, as is one too long for int()
     for bad in ("F6", "F1", "F", "X", "q", "F\u00b2", "F\u0663",
-                "F3317044064679887385961981"):
+                "F3317044064679887385961981", "F" + "7" * 5000):
         with pytest.raises(UsageError):
             parse_ring(bad)
 
@@ -224,8 +224,19 @@ def test_compute_moduli_reuses_its_cohomology(capsys, monkeypatch, name,
 @pytest.mark.parametrize("max_degree", [0, 1, 2])
 def test_compute_moduli_builds_one_method_complex(capsys, monkeypatch,
                                                   max_degree):
-    # the cibils complex of the request and the report's bar complex, also
+    # the report's bar complex and the cibils complex of the request, also
     # below degree 2, where the report reads H^2 from the same request
+    built = _count_builds(monkeypatch)
+    rc, out, _ = run(capsys, "compute", "--algebra", "S11", "--ring", "Q",
+                     "--moduli", "--max-degree", str(max_degree))
+    assert rc == 0
+    assert built == ["bar", "cibils"]
+    assert [r["degree"] for r in json.loads(out)["H"]] == list(
+        range(max_degree + 1))
+
+
+def _count_builds(monkeypatch):
+    """Record the tag of every word complex built."""
     from hochschild import complexes
     built, real = [], complexes._word_complex
 
@@ -233,27 +244,74 @@ def test_compute_moduli_builds_one_method_complex(capsys, monkeypatch,
         built.append(tag)
         return real(tag, *args, **kwargs)
     monkeypatch.setattr(complexes, "_word_complex", counted)
-    rc, out, _ = run(capsys, "compute", "--algebra", "S11", "--ring", "Q",
-                     "--moduli", "--max-degree", str(max_degree))
+    return built
+
+
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_table_builds_each_complex_once_per_row(capsys, monkeypatch,
+                                                max_degree):
+    # below degree 2 the report's H^2 comes from the same method complex:
+    # per row the report's bar complex, sized first, then one cibils complex
+    built = _count_builds(monkeypatch)
+    rc, out, _ = run(capsys, "table", "--degree", "2", "--ring", "Q",
+                     "--max-degree", str(max_degree))
     assert rc == 0
-    assert sorted(built) == ["bar", "cibils"]
-    assert [r["degree"] for r in json.loads(out)["H"]] == list(
-        range(max_degree + 1))
+    assert built == ["bar", "cibils"] * 5
+    header = out.splitlines()[0].split(",")
+    assert header == ["name", "d"] + ["H%d" % i for i in range(
+        max_degree + 1)] + ["normalizer_dim", "tangent_dim"]
 
 
-@pytest.mark.parametrize("max_degree,budget,rank", [
-    (0, 10, 15), (1, 10, 45), (0, 50, 135), (2, 10, 135)])
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+@pytest.mark.parametrize("budget,tag,rank", [(10, "bar", 80),
+                                             (100, "cibils", 135)])
 def test_compute_moduli_budget_refusal_names_the_first_space(
-        capsys, max_degree, budget, rank):
-    # N3's cibils ranks are 5, 15, 45, 135: a budget that refuses the
-    # printed degrees alone names their largest space, as a request without
-    # the report does; otherwise the report's H^2 names its own
+        capsys, max_degree, budget, tag, rank):
+    # N3's bar ranks to degree 2 are 5, 20, 80 and its cibils ranks 5, 15,
+    # 45, 135: the bar complex is sized first, then the method's complex to
+    # degree max(D, 2) + 1, and each refusal names the request's need
     rc, out, err = run(capsys, "compute", "--algebra", "N3", "--ring", "Q",
                        "--moduli", "--max-degree", str(max_degree),
                        "--size-budget", str(budget))
     assert rc == 4 and not out
-    assert err == ("error: cibils complex needs a cochain space of rank %d "
-                   "> budget %d\n" % (rank, budget))
+    assert err == ("error: %s complex needs a cochain space of rank %d "
+                   "> budget %d\n" % (tag, rank, budget))
+
+
+def test_compute_moduli_bar_refusal_precedes_the_splitting(capsys,
+                                                          monkeypatch):
+    from hochschild import cohomology
+    calls, real = [], cohomology.detect_splitting
+
+    def counted(A):
+        calls.append(A.name)
+        return real(A)
+    monkeypatch.setattr(cohomology, "detect_splitting", counted)
+    argv = ["compute", "--algebra", "N3", "--moduli", "--size-budget"]
+    rc, _, err = run(capsys, *argv, "10")
+    assert rc == 4 and err.startswith("error: bar complex")
+    assert calls == []
+    # a budget the bar complex fits reaches the splitting
+    rc, _, err = run(capsys, *argv, "100")
+    assert rc == 4 and err.startswith("error: cibils complex")
+    assert calls == ["N3"]
+
+
+@pytest.mark.parametrize("argv,code,text", [
+    (["compute", "--algebra", "N3", "--max-degree", "50000"], 4,
+     "error: cibils complex needs a cochain space of rank more than 10^"),
+    (["table", "--degree", "3", "--max-degree", "60000"], 4,
+     "error: cibils complex needs a cochain space of rank more than 10^"),
+    (["compute", "--algebra", "N3", "--ring", "F" + "7" * 5000], 2,
+     "error: bad ring: F<p> with 5000 digits is too long"),
+], ids=["compute-max-degree", "table-max-degree", "ring-prime"])
+def test_extreme_arguments_end_with_one_error_line(capsys, argv, code, text):
+    # a rank or a prime of more than 4,300 digits, which int <-> str
+    # conversion refuses, still ends with its documented exit code
+    rc, out, err = run(capsys, *argv)
+    assert rc == code and not out
+    assert err.startswith(text) and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,18 @@ def test_size_budget():
                                top_degree=12).ranks == (0,) * 13
 
 
+@pytest.mark.parametrize("worst", [10 ** 5000, 2 ** 20000 - 1, 3 ** 10000],
+                         ids=["10^5000", "2^20000-1", "3^10000"])
+def test_size_budget_bounds_a_rank_too_long_to_print(worst):
+    # past 4,300 digits int -> str conversion refuses, so the refusal names
+    # a power of ten below the rank instead of failing itself
+    with pytest.raises(SizeBudgetExceeded) as refusal:
+        complexes._check_budget([1, worst, 2], 10, "bar")
+    head, k = str(refusal.value).split(" > ")[0].split("10^")
+    assert head == "bar complex needs a cochain space of rank more than "
+    assert 10 ** int(k) < worst < 10 ** (int(k) + 2)
+
+
 def test_word_complex_keeps_one_degree_of_tails():
     # -F^p, the products and right actions of d^p, is kept for one degree
     # at a time and not at all for the top degree: S11's reduced complex

@@ -224,23 +224,19 @@ def test_budget_threads_through():
         derivation_space(catalog("S4", QQ), budget=3)
     with pytest.raises(SizeBudgetExceeded):
         moduli_report(catalog("S4", QQ), budget=3)
-    # a reused cohomology result still leaves the derivation check bounded
+    # a request for more degrees still leaves the derivation check bounded
     A = catalog("S4", QQ)
     with pytest.raises(SizeBudgetExceeded):
-        moduli_report(A, budget=3, result=cohomology_of(A, degrees=[0, 1, 2]))
+        moduli_report(A, budget=3, degrees=range(4))
 
 
 @pytest.mark.parametrize("name,dom", [("J3", ZZ), ("S11", QQ), ("M2", GF(2)),
                                       ("N3", GF(3))])
 def test_moduli_report_reuses_a_full_result(name, dom):
+    # the report reads H^0..H^2 from its one cohomology result, which holds
+    # every degree asked for
     A = catalog(name, dom)
-    fresh = moduli_report(A)
-    res = cohomology_of(A, degrees=range(4))
-    reused = moduli_report(A, result=res)
-    assert reused.h0 is res[0] and reused.h2 is res[2]
-    assert reused.to_dict() == fresh.to_dict()
-    # a result without degree 2 is not enough and is left aside
-    short = cohomology_of(A, degrees=[0, 1])
-    report = moduli_report(A, result=short)
-    assert report.h1 is not short[1]
-    assert report.to_dict() == fresh.to_dict()
+    rep = moduli_report(A, degrees=range(4))
+    assert rep.cohomology.degrees == (0, 1, 2, 3)
+    assert rep.h0 is rep.cohomology[0] and rep.h2 is rep.cohomology[2]
+    assert rep.to_dict() == moduli_report(A).to_dict()

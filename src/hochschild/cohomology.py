@@ -43,6 +43,7 @@ class CohomologyResult:
         self.domain = domain
         self.method_tag = method_tag
         self.records = tuple(records)  # dicts with "degree" and data keys
+        self._by_degree = {r["degree"]: r for r in self.records}
 
     @property
     def degrees(self):
@@ -58,10 +59,7 @@ class CohomologyResult:
         return tuple(tuple(r["torsion"]) for r in self.records)
 
     def __getitem__(self, degree):
-        for r in self.records:
-            if r["degree"] == degree:
-                return r
-        raise KeyError(degree)
+        return self._by_degree[degree]
 
     def __repr__(self):
         if self.domain == ZZ:
@@ -156,7 +154,7 @@ def cohomology_of(A, method="auto", degrees=range(0, 5),
 
     method: auto | bar | reduced | cibils | jn.  Returns a CohomologyResult
     whose method_tag names the complex actually used; the built complex is
-    attached as result.complex.
+    attached as result.complex, a word complex with its generator top.
     """
     degs = _sorted_degrees(degrees)
     need_top = degs[-1] + 1
@@ -168,11 +166,13 @@ def cohomology_of(A, method="auto", degrees=range(0, 5),
     elif method == "cibils":
         B, sp = target or _cibils_target(A)
         cx = cibils_complex(B, splitting=sp, top_degree=need_top,
-                            budget=budget)
+                            budget=budget, generator_top=True)
     elif method == "reduced":
-        cx = reduced_bar_complex(A, top_degree=need_top, budget=budget)
+        cx = reduced_bar_complex(A, top_degree=need_top, budget=budget,
+                                 generator_top=True)
     elif method == "bar":
-        cx = bar_complex(A, top_degree=need_top, budget=budget)
+        cx = bar_complex(A, top_degree=need_top, budget=budget,
+                         generator_top=True)
     else:
         raise ValueError("unknown method %r" % (method,))
     result = compute_cohomology(cx, degs)

@@ -34,6 +34,23 @@ F^{p-1} is kept on the X_{p-1}(a, s) that some later degree reads, one
 degree at a time.  The sizes of X_p(a, s) follow the same count as the
 ranks, before any work.
 
+With generator_top, C^T keeps only the words that begin with a letter of
+a set G (`generators` on the complex), since a request reads only the
+kernel of d^{T-1}, which stays the same.  For f in C^{T-1}, the a with
+(df)(a, b1, ...) = 0 for all letters bi form a subspace S.  In d(df) = 0 at
+(a, a', b1, ...) every term but -(df)(aa', b1, ...) begins with a or a', so
+S is closed under products: when the rows of df that begin in G vanish, S
+holds every word in G.  These span A for bar, the radical for cibils, and A
+with the unit for reduced ((df)(1, ...) = 0 for normalized f), so df = 0.
+The budget counts the full C^T, which the constructors build by default,
+for cochains and cup products:
+
+>>> from hochschild import QQ, catalog
+>>> bar_complex(catalog("N3", QQ), top_degree=2).ranks
+(5, 20, 80)
+>>> bar_complex(catalog("N3", QQ), top_degree=2, generator_top=True).ranks
+(5, 20, 60)
+
     bar_complex          all of A's basis, one block: rank d^p * m
     reduced_bar_complex  a complement of the unit line: rank (d-1)^p * m
     cibils_complex       the radical basis of an algebra split into
@@ -140,8 +157,25 @@ def _word_targets(p, a, out_of, grading, memo):
     return memo[p, a]
 
 
+def _generators(letters, prodmap, products):
+    """G: in increasing order of how many products of two other letters
+    hold it, a letter is a generator unless it is the only letter of a
+    product of two letters reached before it (more letters reach nothing)."""
+    held = {k: sum(u != k != v for u, v, _ in prodmap[k]) for k in letters}
+    if not any(held.values()):
+        return letters
+    gens, reached = set(), set()
+    for k in sorted(letters, key=held.__getitem__):
+        if not any(u in reached and v in reached
+                   and sum(x in prodmap for x in products[u, v]) == 1
+                   for u, v, _ in prodmap[k]):
+            gens.add(k)
+        reached.add(k)
+    return gens
+
+
 def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
-                  products=None, comp=None):
+                  products=None, comp=None, generator_top=False):
     """Word complex of an alphabet of letters of A with coefficients in M.
 
     `letters` maps each letter's name, in increasing order, to its index in
@@ -150,7 +184,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     block for all); products[u, v] holds the product's coordinates as
     {name: nonzero scalar} (default: A.mult), where a key that names no
     letter, the unit of the reduced complex, is left out.  C^0 takes the
-    coordinates of blocks with source = target.
+    coordinates of blocks with source = target.  generator_top: see above.
     """
     dom = A.domain
     if grading is None:
@@ -170,10 +204,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         out_of.setdefault(s, []).append(k)
 
     # size[p][a, s]: the rank of X_p(a, s), for each letter's end a and each
-    # source s with coordinates.  C^p is X_p(s, s) for each s in order, from
-    # base[p][s] on; for p >= 1 only the heads, the sources that letters
-    # leave, have pairs, and cruns[p] = {letter k: first index of the pairs
-    # that begin with k} in C^p, whose run of k is X_{p-1}(target, source)
+    # source s with coordinates; C^p is X_p(s, s) for each s in order
     ends = {e for k in letters for e in grading[k]}
     size = [{(a, s): len(by_block.get((s, a), ())) for a in ends
              for s in live}]
@@ -181,23 +212,14 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     for s in order:
         base[0][s] = n
         n += len(by_block.get((s, s), ()))
-    ranks = [n]
-    heads = [(s, out_of[s]) for s in order if s in out_of]
     for _ in range(top_degree):
-        x, y, b, run, n = size[-1], dict.fromkeys(size[-1], 0), {}, {}, 0
-        for s, ks in heads:
-            b[s] = n
-            for k in ks:
-                run[k] = n
-                n += x[grading[k][1], s]
+        x, y = size[-1], dict.fromkeys(size[-1], 0)
         for k in letters:
             a, t = grading[k]
             for s in live:
                 y[a, s] += x[t, s]
         size.append(y)
-        base.append(b)
-        cruns.append(run)
-        ranks.append(n)
+    ranks = [n] + [sum(y.get((s, s), 0) for s in order) for y in size[1:]]
     _check_budget(ranks, budget, tag)
     if products is None:
         products = {(u, v): A.mult[u][v] for u in letters for v in letters}
@@ -238,6 +260,24 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     "splitting data is inconsistent: product of letters "
                     "%r, %r has a component off their blocks" % (u, v))
             prodmap[k].append((u, v, c))
+    gens = (_generators(letters, prodmap, products) if generator_top
+            else letters)
+
+    # C^p holds X_p(s, s) from base[p][s] on, and cruns[p] = {letter k: first
+    # index of the pairs that begin with k} in C^p, whose run of k is
+    # X_{p-1}(target, source); at the top only the letters in gens have one
+    for p in range(top_degree):
+        firsts = letters if p < top_degree - 1 else gens
+        b, run, n = {}, {}, 0
+        for s in order:
+            b[s] = n
+            for k in out_of.get(s, ()):
+                if k in firsts:
+                    run[k] = n
+                    n += size[p][grading[k][1], s]
+        base.append(b)
+        cruns.append(run)
+        ranks[p + 1] = n
 
     xruns = {}
 
@@ -261,7 +301,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         is None.  With crun, each letter's first index in C^{p+1}, a = s and
         the columns are those of d^p on X_p(s, s): F^p with its rows moved
         by base[p+1][s], plus the left actions, where the row word k w of a
-        letter k: s2 -> s begins at k's run plus w's place in X_p(s, s2)."""
+        letter k: s2 -> s begins at k's run plus w's place in X_p(s, s2);
+        a row whose first letter has no run in run1 is left out."""
         run1 = xrun(p + 1, a, s) if crun is None else crun
         for w0 in out_of.get(a, ()) if p else (None,):
             if p:
@@ -273,13 +314,14 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                 # -F^{p-1} (kept from base[p][s] on when b = s) moved to
                 # the run
                 inner = [(run1[u] + xrun(p, grading[u][1], s)[v], c)
-                         for u, v, c in prodmap[w0]]
+                         for u, v, c in prodmap[w0] if u in run1]
                 prev = F[b, s]
-                shift = (run1[w0] - (base[p][s] if b == s else 0)).__add__
+                shift = (run1[w0] - (base[p][s] if b == s else 0)).__add__ \
+                    if w0 in run1 else None
                 ts = _word_targets(p - 1, b, out_of, grading, targets)
             else:
                 # one run, block (s, a): minus the right actions
-                roffs = [run1[k] for k in sides[s, a][1]]
+                roffs = [run1.get(k) for k in sides[s, a][1]]
                 ts = (a,)
             if crun is not None:
                 # at[s2]: the place in X_p(s, s2) of the run's next word
@@ -289,14 +331,15 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                 qs = by_block.get((s, t), ())
                 if crun is not None:
                     if qs:
-                        offs = [crun[k] + at[grading[k][0]]
-                                for k in sides[s, t][0]]
+                        offs = [crun[k] + at[grading[k][0]] if k in crun
+                                else None for k in sides[s, t][0]]
                     for s2 in at:
                         at[s2] += len(by_block.get((s2, t), ()))
                 for q in qs:
                     if p:
                         rows, vals = prev[i]
-                        col = dict(zip(map(shift, rows), vals)) if rows else {}
+                        col = dict(zip(map(shift, rows), vals)) \
+                            if rows and shift else {}
                         get = col.get
                         for off, c in inner:
                             key = off + i
@@ -307,6 +350,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                         get = col.get
                         for h, pairs in acts[q][1]:
                             off = roffs[h]
+                            if off is None:
+                                continue
                             for r, v in pairs:
                                 key = off + r
                                 col[key] = get(key, 0) - v
@@ -316,6 +361,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     if crun is not None:
                         for h, pairs in acts[q][0]:
                             off = offs[h]
+                            if off is None:
+                                continue
                             for r, v in pairs:
                                 key = off + r
                                 col[key] = get(key, 0) + v
@@ -360,12 +407,17 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                              for k in out_of.get(grading[w[-1]][1], ())]
                          for s, ws in words.items()}
             yield [(w, q) for s in order for w in words[s]
+                   if p < top_degree - 1 or w[0] in gens
                    for q in by_block.get((s, grading[w[-1]][1]), ())]
 
-    return CochainComplex(tag, dom, ranks, diffs, labels, A, M)
+    cx = CochainComplex(tag, dom, ranks, diffs, labels, A, M)
+    # the letters that begin the words of C^T
+    cx.generators = tuple(k for k in letters if k in gens)
+    return cx
 
 
-def bar_complex(A, M=None, top_degree=None, budget=DEFAULT_SIZE_BUDGET):
+def bar_complex(A, M=None, top_degree=None, budget=DEFAULT_SIZE_BUDGET,
+                generator_top=False):
     """Hom(A^{tensor p}, M) with the three-part alternating differential."""
     if top_degree is None:
         top_degree = DEFAULT_TOP_DEGREE["bar"]
@@ -374,11 +426,12 @@ def bar_complex(A, M=None, top_degree=None, budget=DEFAULT_SIZE_BUDGET):
     if len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
     return _word_complex("bar", A, M, top_degree, budget,
-                         {k: k for k in range(A.dim)})
+                         {k: k for k in range(A.dim)},
+                         generator_top=generator_top)
 
 
 def reduced_bar_complex(A, M=None, top_degree=None,
-                        budget=DEFAULT_SIZE_BUDGET):
+                        budget=DEFAULT_SIZE_BUDGET, generator_top=False):
     """Bar complex over a complement of the unit line (unit-first basis)."""
     if top_degree is None:
         top_degree = DEFAULT_TOP_DEGREE["reduced"]
@@ -392,11 +445,12 @@ def reduced_bar_complex(A, M=None, top_degree=None,
     if len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
     return _word_complex("reduced", A, M, top_degree, budget,
-                         {k: k for k in range(1, A.dim)})
+                         {k: k for k in range(1, A.dim)},
+                         generator_top=generator_top)
 
 
 def cibils_complex(A, splitting=None, M=None, top_degree=None,
-                   budget=DEFAULT_SIZE_BUDGET):
+                   budget=DEFAULT_SIZE_BUDGET, generator_top=False):
     """Small complex from an idempotent/radical splitting of A.
 
     C^0 is the part of M commuting with every idempotent; C^p for p >= 1
@@ -429,7 +483,7 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
                 "bimodule basis vector %d is not adapted to the splitting" % q)
     return _word_complex("cibils", A, M, top_degree, budget,
                          dict(enumerate(sp.radical_indices)), sp.bigrading,
-                         sp.radical_products, comp)
+                         sp.radical_products, comp, generator_top)
 
 
 def jn_periodic_complex(A, top_degree=None, budget=DEFAULT_SIZE_BUDGET):

@@ -7,6 +7,10 @@ computes:
   kernel of d^0 of the bar complex on M_n/A lifted through its projection;
 - the derivations A -> M_n/A, the 1-cocycles of the same complex (the
   report reads both from one bar complex to degree 2, under its budget);
+  that complex has its generator top (`complexes`): d^1 keeps only the
+  rows that begin with a generator g, since the a on which a map obeys
+  the Leibniz rule form a subalgebra; `normalizer` alone stops at degree
+  1, where X is in N(A) exactly when [X, g] lies in A for each g;
 - the tangent dimension  dim H^1 + n^2 - dim N(A), cross-checked
   against the derivation dimension;
 - two one-sided certificates: H^2 = 0 certifies smoothness of the
@@ -65,7 +69,7 @@ def normalizer(A):
     rational dimension).  The returned basis always spans a space
     containing A itself.
     """
-    basis = _normalizer(bar_complex(A, top_degree=1,
+    basis = _normalizer(bar_complex(A, top_degree=1, generator_top=True,
                                     budget=A.dim * A.n * A.n))
     return basis, len(basis)
 
@@ -80,7 +84,8 @@ def derivation_space(A, M=None, budget=DEFAULT_SIZE_BUDGET):
     These are exactly the 1-cocycles of the bar complex, so the count
     is rank C^1 minus rank of the degree-1 differential.
     """
-    return _derivations(bar_complex(A, M=M, top_degree=2, budget=budget))
+    return _derivations(bar_complex(A, M=M, top_degree=2, budget=budget,
+                                    generator_top=True))
 
 
 def _h_dim(record):
@@ -146,7 +151,7 @@ def moduli_report(A, method="auto", budget=DEFAULT_SIZE_BUDGET,
     work.  Over the integers the dimension formulas use free ranks (the
     saturated kernels make them agree with the rational fiber), while the
     certificates demand full vanishing including torsion."""
-    cx = bar_complex(A, top_degree=2, budget=budget)
+    cx = bar_complex(A, top_degree=2, budget=budget, generator_top=True)
     res = cohomology_of(A, method=method, degrees={0, 1, 2}.union(degrees),
                         budget=budget)
     h0, h1, h2 = res[0], res[1], res[2]

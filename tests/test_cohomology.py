@@ -11,8 +11,8 @@ from hochschild.algebra import (NotSplit, catalog, conjugate_algebra,
                                 regular_bimodule, structure_constants_ok,
                                 verify_subalgebra)
 from hochschild.cohomology import (CohomologyResult, DegreeOutOfRange,
-                                   cohomology_of, compute_cohomology,
-                                   pick_method)
+                                   _cibils_target, cohomology_of,
+                                   compute_cohomology, pick_method)
 from hochschild.complexes import (CochainComplex, bar_complex,
                                   cibils_complex, jn_periodic_complex,
                                   reduced_bar_complex)
@@ -403,6 +403,33 @@ def test_result_accessors():
     assert "cibils" in repr(r)
     rq = cohomology_of(catalog("N2", QQ), degrees=[1])
     assert rq[1]["dim"] == 1 and "h^1=1" in repr(rq)
+
+
+def test_result_index_returns_each_record():
+    r = cohomology_of(catalog("N3", ZZ), degrees=[0, 2, 3, 5])
+    for i, p in enumerate(r.degrees):
+        assert r[p] is r.records[i]
+    for p in (1, 4, 6, -1, "2"):
+        with pytest.raises(KeyError):
+            r[p]
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), GF(3), ZZ], ids=repr)
+def test_request_path_builds_the_generator_top(dom):
+    # cohomology_of keeps the words of C^T that begin with a generator, and
+    # its records are those of the full complex
+    full_of = {"bar": bar_complex, "reduced": reduced_bar_complex,
+               "cibils": lambda A, **kw: cibils_complex(
+                   *_cibils_target(A), **kw)}
+    for name in ("N3", "S11", "B4", "J4", "P22"):
+        A = catalog(name, dom)
+        for method, build in full_of.items():
+            res = cohomology_of(A, method, degrees=range(3))
+            cx, full = res.complex, build(A, top_degree=3)
+            assert cx.ranks[:3] == full.ranks[:3]
+            assert cx.ranks[3] == sum(w[0] in cx.generators
+                                      for w, _ in full.labels[3])
+            assert res.records == compute_cohomology(full, range(3)).records
 
 
 def test_compute_cohomology_on_custom_complex():

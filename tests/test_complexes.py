@@ -4,24 +4,27 @@ import copy
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from hochschild import complexes
 from hochschild.algebra import (AlgebraError, Bimodule, catalog,
-                                detect_splitting, ideal_quotient_bimodule,
-                                morita_corner, quotient_bimodule,
-                                regular_bimodule, sandwich_bimodule,
-                                verify_subalgebra)
-from hochschild.cohomology import compute_cohomology
+                                conjugate_algebra, detect_splitting,
+                                ideal_quotient_bimodule, morita_corner,
+                                quotient_bimodule, regular_bimodule,
+                                sandwich_bimodule, verify_subalgebra)
+from hochschild.cohomology import _cibils_target, compute_cohomology
 from hochschild.complexes import (DEFAULT_SIZE_BUDGET, Cochain,
                                   CochainComplex, DegreeOverflow, SizeBudgetExceeded,
                                   apply_d, bar_complex, cibils_complex,
                                   cup_product, jn_periodic_complex,
                                   reduced_bar_complex)
-from hochschild.exactla import GF, QQ, ZZ, Mat, rank, smith_normal_form
+from hochschild.exactla import (GF, QQ, ZZ, Echelon, Mat, kernel_basis, rank,
+                                smith_normal_form)
 
 from _posets import SPHERE
+from _tabledata import ALL_NAMES
 from test_exactla import JORDAN3_COMMUTATOR
 
 
@@ -605,3 +608,137 @@ def test_cochain_arithmetic():
     assert g.value(((1,), 0)) == 6
     assert f.add(f) == f.scale(2)
     assert Cochain.zero(cx, 1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the generator top: C^T keeps the words that begin with a generator
+
+GENERATOR_ALGEBRAS = ALL_NAMES + ("B4", "B5", "B6", "B7", "D7", "J4", "J5",
+                                  "P22", "P33")
+
+
+def _cibils_of(A, **kw):
+    B, sp = _cibils_target(A)
+    return cibils_complex(B, splitting=sp, **kw)
+
+
+def _alphabet(cx):
+    """{letter: matrix} of a word complex, and whether the unit counts."""
+    B = cx.algebra
+    if cx.method_tag == "cibils":
+        return dict(enumerate(detect_splitting(B).radical)), False
+    first = cx.method_tag == "reduced"
+    return {k: b for k, b in enumerate(B.basis) if k >= first}, first
+
+
+def _words_span(cx):
+    """Whether the words in cx.generators, with the unit for reduced, span
+    the alphabet: an echelon closure under appending a generator."""
+    letters, unit = _alphabet(cx)
+    n = cx.algebra.n
+    ech = Echelon(QQ if cx.domain == ZZ else cx.domain)
+
+    def flat(m):
+        return {i * n + j: v for (i, j), v in m.items()}
+    if unit:
+        ech.add(flat(Mat.identity(n, cx.domain)))
+    todo = [letters[g] for g in cx.generators if ech.add(flat(letters[g]))]
+    while todo:
+        w = todo.pop()
+        for g in cx.generators:
+            x = w.mul(letters[g])
+            if ech.add(flat(x)):
+                todo.append(x)
+    return not any(ech.add(flat(b)) for b in letters.values())
+
+
+def _fitting_top(build, A, cap=3000):
+    """The full complex at the largest T <= 3 whose ranks stay within cap."""
+    for T in (3, 2):
+        try:
+            return build(A, top_degree=T, budget=cap)
+        except SizeBudgetExceeded:
+            pass
+    return build(A, top_degree=1)
+
+
+def _check_generator_top(full, gen):
+    T = full.top_degree
+    assert gen.top_degree == T and gen.ranks[:T] == full.ranks[:T]
+    assert gen.diffs[:T - 1] == full.diffs[:T - 1]
+    assert len(gen.labels[T]) == gen.ranks[T]
+    assert all(w[0] in gen.generators for w, _ in gen.labels[T])
+    assert _words_span(gen)
+    # d^{T-1} is the full one on the rows that begin with a generator
+    at = full.col_index(T)
+    row = {at[lab]: i for i, lab in enumerate(gen.labels[T])}
+    assert {(row[r], c): v for (r, c), v in full.diffs[T - 1].items()
+            if r in row} == dict(gen.diffs[T - 1].items())
+    assert gen.ranks[T] == sum(full.labels[T][r][0][0] in gen.generators
+                               for r in range(full.ranks[T]))
+
+    def over_q(d):
+        return d.change_domain(QQ) if d.domain == ZZ else d
+    assert kernel_basis(over_q(gen.diffs[T - 1])) == \
+        kernel_basis(over_q(full.diffs[T - 1]))
+    for degrees in (range(T), [T - 1], [1, T - 1] if T > 1 else [0]):
+        assert compute_cohomology(gen, degrees).records == \
+            compute_cohomology(full, degrees).records, degrees
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+@pytest.mark.parametrize("name", GENERATOR_ALGEBRAS)
+def test_generator_top_keeps_the_top_kernel(name, dom):
+    A = catalog(name, dom)
+    for build in BUILDERS[:2] + [_cibils_of]:
+        full = _fitting_top(build, A)
+        assert full.generators == tuple(_alphabet(full)[0])
+        _check_generator_top(full, build(A, top_degree=full.top_degree,
+                                         generator_top=True))
+
+
+def _seeded_conjugate(A, seed):
+    """P A P^-1, P a product of 3n factors I + c E_ij drawn from the seed."""
+    rng, n, dom = random.Random(seed), A.n, A.domain
+    P = Mat.identity(n, dom)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2)
+        E = dict(Mat.identity(n, dom).items())
+        E[i, j] = rng.choice((1, -1, 2))
+        P = P.mul(Mat(n, n, dom, E))
+    return conjugate_algebra(A, P)
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+@pytest.mark.parametrize("name", ["S11", "N3", "J4", "B4", "S6", "P21"])
+def test_generator_top_on_conjugates(name, dom):
+    # products with several letters in them, with coefficients in A itself
+    # and, over a field, in M_n/A (over Z its lattice is mostly refused)
+    C = _seeded_conjugate(catalog(name, dom), 1)
+    for build, B in ((bar_complex, C), (reduced_bar_complex,
+                                        C.with_unit_first())):
+        modules = [regular_bimodule(B)[0]]
+        if dom.is_field:
+            modules.append(quotient_bimodule(B))
+        for M in modules:
+            full = _fitting_top(partial(build, M=M), B)
+            _check_generator_top(full, build(B, M=M,
+                                             top_degree=full.top_degree,
+                                             generator_top=True))
+
+
+@pytest.mark.parametrize("name, build, letters, gens", [
+    ("B7", bar_complex, 28, 13), ("J7", bar_complex, 7, 2),
+    ("D7", bar_complex, 7, 7), ("J5", reduced_bar_complex, 4, 1),
+    ("S11", reduced_bar_complex, 4, 3), ("N3", reduced_bar_complex, 3, 2)])
+def test_generator_counts(name, build, letters, gens):
+    A = catalog(name, QQ)
+    assert len(build(A, top_degree=1).generators) == letters
+    assert len(build(A, top_degree=1, generator_top=True).generators) == gens
+
+
+def test_generator_top_is_an_option():
+    A = catalog("N3", QQ)
+    assert bar_complex(A, top_degree=2).ranks == (5, 20, 80)
+    cx = bar_complex(A, top_degree=2, generator_top=True)
+    assert cx.ranks == (5, 20, 60) and cx.generators == (0, 1, 3)

@@ -3,9 +3,9 @@
 import pytest
 
 from hochschild.algebra import (catalog, conjugate_algebra, quotient_bimodule,
-                                verify_subalgebra)
+                                regular_bimodule, verify_subalgebra)
 from hochschild.cohomology import cohomology_of
-from hochschild.complexes import SizeBudgetExceeded
+from hochschild.complexes import SizeBudgetExceeded, bar_complex
 from hochschild.exactla import GF, QQ, ZZ, Mat, kernel_basis, rank
 from hochschild.moduli import (INCONCLUSIVE, YES, ModuliReport, certificates,
                                derivation_space, moduli_report, normalizer,
@@ -122,6 +122,20 @@ def test_normalizer_and_tangent_of_b10_agree_over_z_and_q():
 @pytest.mark.parametrize("name,want", [("M3", 0), ("B3", 3), ("S4", 8)])
 def test_derivation_dims(name, want):
     assert derivation_space(catalog(name, QQ)) == want
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(2), ZZ], ids=repr)
+def test_derivations_read_the_generator_top(dom):
+    # derivation_space ranks d^1 on the rows that begin with a generator;
+    # the full d^1 has the same rank, whatever the coefficients
+    for name in ("B4", "J4", "S11", "N3", "P21", "M2"):
+        A = catalog(name, dom)
+        for M in (None, regular_bimodule(A)[0]):
+            full = bar_complex(A, M=M, top_degree=2)
+            d1 = full.diffs[1]
+            want = full.ranks[1] - rank(d1.change_domain(QQ)
+                                        if dom == ZZ else d1)
+            assert derivation_space(A, M) == want, (name, M)
 
 
 @pytest.mark.parametrize("name,want", [

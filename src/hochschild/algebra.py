@@ -729,10 +729,8 @@ _SHAPES_DEG3 = {
     "C3": ["a 0 0", "0 a 0", "0 0 a"],
 }
 
-CATALOG_DEG2 = ("M2", "B2", "D2", "N2", "C2")
-CATALOG_DEG3 = ("M3", "P21", "P12", "B3", "M2xD1", "S10", "S11", "S12",
-                "S13", "S14", "B2xD1", "N3", "S6", "S7", "S8", "S9", "D3",
-                "N2xD1", "J3", "S2", "S3", "S4", "S5", "C2xD1", "S1", "C3")
+CATALOG_DEG2 = tuple(_SHAPES_DEG2)
+CATALOG_DEG3 = tuple(_SHAPES_DEG3)
 
 TRANSPOSE_PARTNER = {
     "M2": "M2", "B2": "B2", "D2": "D2", "N2": "N2", "C2": "C2",
@@ -822,14 +820,9 @@ def catalog(name, domain, params=None):
         A = verify_subalgebra(n, domain, _jn_basis(n, domain), name="J%d" % n)
         A.meta["family"] = ("J", n)
         return A
-    if fam == "M":
-        basis = [_unit_matrix(n, i, j, domain)
-                 for i in range(n) for j in range(n)]
-        return verify_subalgebra(n, domain, basis, name="M%d" % n)
-    if fam == "B":
-        basis = [_unit_matrix(n, i, j, domain)
-                 for i in range(n) for j in range(i, n)]
-        return verify_subalgebra(n, domain, basis, name="B%d" % n)
+    if fam in ("M", "B"):
+        basis, _ = _parabolic_basis((n,) if fam == "M" else (1,) * n, domain)
+        return verify_subalgebra(n, domain, basis, name=fam + str(n))
     if fam == "D":
         basis = [_unit_matrix(n, i, i, domain) for i in range(n)]
         return verify_subalgebra(n, domain, basis, name="D%d" % n)

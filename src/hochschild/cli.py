@@ -150,109 +150,84 @@ def algebra_to_dict(A):
 # ---------------------------------------------------------------------------
 # expected table values (per-degree formulas, evaluated at any ring)
 
-# H patterns: value in degree i, parameterized by the field characteristic,
-# or the pair (free rank, torsion factors) over the integers.
+# H patterns: dim H^i over a field of characteristic 0, which is also the
+# free rank over the integers.  A row's torsion prime q adds Z/q over the
+# integers in odd degrees, and over F_q one to every H^i and to the
+# normalizer.
 def _h_const(k):
-    return lambda i, c: k
+    return lambda i: k
 
 
 def _h_deg0(k):
-    return lambda i, c: k if i == 0 else 0
+    return lambda i: k if i == 0 else 0
 
 
-def _h_tor(base, q):
-    # base free copies everywhere; R/q in odd degrees (and its annihilator,
-    # zero in characteristic 0, in even ones)
-    return lambda i, c: base + (1 if c == q else 0)
-
-
-def _h_ladder(i, c):
+def _h_ladder(i):
     return 2 if i == 0 else i + 1
 
 
-def _h_doubling(i, c):
+def _h_doubling(i):
     return 4 if i == 0 else 3 * 2 ** i
 
 
-def _h_low(i, c):
+def _h_low(i):
     return 1 if i <= 1 else 0
 
 
-def _h_unit_line(i, c):
+def _h_unit_line(i):
     return 4 if i == 0 else 1
-
-
-def _z_const(k):
-    return lambda i: (k, ())
-
-
-def _z_deg0(k):
-    return lambda i: (k if i == 0 else 0, ())
-
-
-def _z_tor(base, q):
-    return lambda i: (base, (q,) if i % 2 == 1 else ())
-
-
-def _z_of_field(f):
-    return lambda i: (f(i, 0), ())
 
 
 _EXPECTED_ROWS = {
     2: [
-        # name, field H(i, char), Z H(i), normalizer dim (generic, {char: dim}), tangent
-        ("M2", _h_const(0), _z_const(0), 4, {}, 0),
-        ("B2", _h_const(0), _z_const(0), 3, {}, 1),
-        ("D2", _h_const(0), _z_const(0), 2, {}, 2),
-        ("N2", _h_tor(1, 2), _z_tor(1, 2), 3, {2: 4}, 2),
-        ("C2", _h_deg0(3), _z_deg0(3), 4, {}, 0),
+        # name, H(i), normalizer dim, tangent dim, torsion prime
+        ("M2", _h_const(0), 4, 0, None),
+        ("B2", _h_const(0), 3, 1, None),
+        ("D2", _h_const(0), 2, 2, None),
+        ("N2", _h_const(1), 3, 2, 2),
+        ("C2", _h_deg0(3), 4, 0, None),
     ],
     3: [
-        ("M3", _h_const(0), _z_const(0), 9, {}, 0),
-        ("P21", _h_const(0), _z_const(0), 7, {}, 2),
-        ("P12", _h_const(0), _z_const(0), 7, {}, 2),
-        ("B3", _h_const(0), _z_const(0), 6, {}, 3),
-        ("M2xD1", _h_const(0), _z_const(0), 5, {}, 4),
-        ("S10", _h_tor(1, 2), _z_tor(1, 2), 6, {2: 7}, 4),
-        ("S11", _h_low, _z_of_field(_h_low), 6, {}, 4),
-        ("S12", _h_tor(1, 2), _z_tor(1, 2), 6, {2: 7}, 4),
-        ("S13", _h_const(0), _z_const(0), 5, {}, 4),
-        ("S14", _h_const(0), _z_const(0), 5, {}, 4),
-        ("B2xD1", _h_const(0), _z_const(0), 4, {}, 5),
-        ("N3", _h_ladder, _z_of_field(_h_ladder), 6, {}, 5),
-        ("S6", _h_const(1), _z_const(1), 5, {}, 5),
-        ("S7", _h_deg0(3), _z_deg0(3), 7, {}, 2),
-        ("S8", _h_deg0(3), _z_deg0(3), 7, {}, 2),
-        ("S9", _h_const(1), _z_const(1), 5, {}, 5),
-        ("D3", _h_const(0), _z_const(0), 3, {}, 6),
-        ("N2xD1", _h_tor(1, 2), _z_tor(1, 2), 4, {2: 5}, 6),
-        ("J3", _h_tor(2, 3), _z_tor(2, 3), 5, {3: 6}, 6),
-        ("S2", _h_deg0(2), _z_deg0(2), 5, {}, 4),
-        ("S3", _h_deg0(2), _z_deg0(2), 5, {}, 4),
-        ("S4", _h_doubling, _z_of_field(_h_doubling), 7, {}, 8),
-        ("S5", _h_doubling, _z_of_field(_h_doubling), 7, {}, 8),
-        ("C2xD1", _h_deg0(3), _z_deg0(3), 5, {}, 4),
-        ("S1", _h_unit_line, _z_of_field(_h_unit_line), 6, {}, 4),
-        ("C3", _h_deg0(8), _z_deg0(8), 9, {}, 0),
+        ("M3", _h_const(0), 9, 0, None),
+        ("P21", _h_const(0), 7, 2, None),
+        ("P12", _h_const(0), 7, 2, None),
+        ("B3", _h_const(0), 6, 3, None),
+        ("M2xD1", _h_const(0), 5, 4, None),
+        ("S10", _h_const(1), 6, 4, 2),
+        ("S11", _h_low, 6, 4, None),
+        ("S12", _h_const(1), 6, 4, 2),
+        ("S13", _h_const(0), 5, 4, None),
+        ("S14", _h_const(0), 5, 4, None),
+        ("B2xD1", _h_const(0), 4, 5, None),
+        ("N3", _h_ladder, 6, 5, None),
+        ("S6", _h_const(1), 5, 5, None),
+        ("S7", _h_deg0(3), 7, 2, None),
+        ("S8", _h_deg0(3), 7, 2, None),
+        ("S9", _h_const(1), 5, 5, None),
+        ("D3", _h_const(0), 3, 6, None),
+        ("N2xD1", _h_const(1), 4, 6, 2),
+        ("J3", _h_const(2), 5, 6, 3),
+        ("S2", _h_deg0(2), 5, 4, None),
+        ("S3", _h_deg0(2), 5, 4, None),
+        ("S4", _h_doubling, 7, 8, None),
+        ("S5", _h_doubling, 7, 8, None),
+        ("C2xD1", _h_deg0(3), 5, 4, None),
+        ("S1", _h_unit_line, 6, 4, None),
+        ("C3", _h_deg0(8), 9, 0, None),
     ],
 }
 
 
 def expected_cell(row, degree, ring_str):
     """Expected H value in one degree: int, or (free, torsion) over Z."""
-    _, hfield, hz, _, _, _ = row
+    _, h, _, _, q = row
     if ring_str == "Z":
-        free, tors = hz(degree)
-        return free, tuple(tors)
-    char = 0 if ring_str == "Q" else int(ring_str.split(":")[1])
-    return hfield(degree, char)
+        return h(degree), (q,) if q and degree % 2 else ()
+    return h(degree) + (ring_str == "Fp:%s" % q)
 
 
 def expected_normalizer(row, ring_str):
-    _, _, _, ngen, nexc, _ = row
-    if ring_str in ("Q", "Z"):
-        return ngen
-    return nexc.get(int(ring_str.split(":")[1]), ngen)
+    return row[2] + (ring_str == "Fp:%s" % row[4])
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +367,7 @@ def cmd_table(args):
                 checks.append("PASS" if ok else "FAIL")
             checks.append("PASS" if report.normalizer_dim
                           == expected_normalizer(row, ring_str) else "FAIL")
-            checks.append("PASS" if report.tangent_dim == row[5] else "FAIL")
+            checks.append("PASS" if report.tangent_dim == row[3] else "FAIL")
             entry["checks"] = checks
             any_fail = any_fail or "FAIL" in checks
         table.append(entry)
@@ -458,7 +433,7 @@ def build_parser():
     pc.add_argument("--method", default="auto",
                     choices=["auto", "bar", "reduced", "cibils", "jn"])
     pc.add_argument("--size-budget", type=int, default=DEFAULT_SIZE_BUDGET,
-                    help="max coordinates in the top cochain group")
+                    help="max coordinates in any built cochain space")
     pc.add_argument("--moduli", action="store_true",
                     help="include normalizer/tangent/certificate report")
     pc.add_argument("--out", help="output path (default stdout)")

@@ -74,7 +74,9 @@ class CohomologyResult:
 
 
 def _sorted_degrees(degrees):
-    degs = sorted(set(int(p) for p in degrees))
+    # a range of positive step is kept: it is sorted and holds no list
+    degs = degrees if isinstance(degrees, range) and degrees.step > 0 \
+        else sorted(set(int(p) for p in degrees))
     if not degs:
         raise DegreeOutOfRange("no degrees requested")
     if degs[0] < 0:

@@ -7,11 +7,13 @@ of A and coordinates of the bimodule M each carry a (source, target) block;
 C^p is spanned by (word, q) for the composable words of p letters and the
 coordinates q of the word's block.  d sums the left action of a prepended
 letter, the products of neighbouring letters and the right action of an
-appended letter, with alternating signs.  Ranks are counted before any word
-is built, so the size budget refuses a request before any work.  The
-actions that are not zero are listed once per coordinate, before any word,
-so a column walks only the letters that act on its coordinate: in the bar
-complex of an incidence algebra most letters act by zero on each one.
+appended letter, with alternating signs.  Each degree's rank is counted
+once, from the word counts, and checked against the size budget before the
+next degree is counted, so a refusal names the first degree over the budget
+and comes before any word is built.  The actions that are not zero are
+listed once per coordinate, before any word, so a column walks only the
+letters that act on its coordinate: in the bar complex of an incidence
+algebra most letters act by zero on each one.
 
 Each differential is built from the one before (a prefix recursion).
 X_p(a, s) is the space of pairs (word of p letters from block a, coordinate
@@ -42,14 +44,20 @@ kernel of d^{T-1}, which stays the same.  For f in C^{T-1}, the a with
 S is closed under products: when the rows of df that begin in G vanish, S
 holds every word in G.  These span A for bar, the radical for cibils, and A
 with the unit for reduced ((df)(1, ...) = 0 for normalized f), so df = 0.
-The budget counts the full C^T, which the constructors build by default,
-for cochains and cup products:
+The constructors build the full C^T by default, for cochains and cup
+products; the budget counts the rank that is built:
 
 >>> from hochschild import QQ, catalog
 >>> bar_complex(catalog("N3", QQ), top_degree=2).ranks
 (5, 20, 80)
->>> bar_complex(catalog("N3", QQ), top_degree=2, generator_top=True).ranks
+>>> bar_complex(catalog("N3", QQ), top_degree=2, generator_top=True,
+...             budget=70).ranks
 (5, 20, 60)
+>>> try:
+...     bar_complex(catalog("N3", QQ), top_degree=2, budget=70)
+... except SizeBudgetExceeded as refusal:
+...     print(refusal)
+bar complex needs a cochain space of rank 80 in degree 2 > budget 70
 
     bar_complex          all of A's basis, one block: rank d^p * m
     reduced_bar_complex  a complement of the unit line: rank (d-1)^p * m
@@ -65,6 +73,7 @@ cup product is provided for bar/reduced cochains with an explicit
 coefficient pairing.
 """
 
+from collections import Counter
 from functools import cached_property
 from itertools import chain, count
 from operator import neg
@@ -133,17 +142,16 @@ class CochainComplex:
             self.method_tag, self.domain, list(self.ranks))
 
 
-def _check_budget(ranks, budget, tag):
-    worst = max(ranks)
-    if worst > budget:
+def _check_budget(rank, budget, tag, degree):
+    if rank > budget:
         try:
-            need = "%d" % worst
+            need = "%d" % rank
         except ValueError:  # too many digits to print: an exact lower bound
-            need = "more than 10^%d" % ((worst.bit_length() - 1) * 30102
+            need = "more than 10^%d" % ((rank.bit_length() - 1) * 30102
                                        // 100000)
         raise SizeBudgetExceeded(
-            "%s complex needs a cochain space of rank %s > budget %d"
-            % (tag, need, budget))
+            "%s complex needs a cochain space of rank %s in degree %d > "
+            "budget %d" % (tag, need, degree, budget))
 
 
 def _word_targets(p, a, out_of, grading, memo):
@@ -157,17 +165,35 @@ def _word_targets(p, a, out_of, grading, memo):
     return memo[p, a]
 
 
-def _generators(letters, prodmap, products):
+def _prodmap(letters, grading, products):
+    """{letter k: [(u, v, c) for each product u v of letters with c k in
+    it]} from the pairs ((u, v), {name: scalar}) of `products`; a name that
+    is no letter is left out."""
+    prodmap = {k: [] for k in letters}
+    for (u, v), coords in products:
+        for k, c in coords.items():
+            if k not in prodmap:
+                continue
+            if (grading[u][0], grading[u][1], grading[v][1]) != (
+                    grading[k][0], grading[v][0], grading[k][1]):
+                raise AlgebraError(
+                    "splitting data is inconsistent: product of letters "
+                    "%r, %r has a component off their blocks" % (u, v))
+            prodmap[k].append((u, v, c))
+    return prodmap
+
+
+def _generators(letters, prodmap):
     """G: in increasing order of how many products of two other letters
     hold it, a letter is a generator unless it is the only letter of a
     product of two letters reached before it (more letters reach nothing)."""
     held = {k: sum(u != k != v for u, v, _ in prodmap[k]) for k in letters}
     if not any(held.values()):
         return letters
+    width = Counter((u, v) for k in letters for u, v, _ in prodmap[k])
     gens, reached = set(), set()
     for k in sorted(letters, key=held.__getitem__):
-        if not any(u in reached and v in reached
-                   and sum(x in prodmap for x in products[u, v]) == 1
+        if not any(u in reached and v in reached and width[u, v] == 1
                    for u, v, _ in prodmap[k]):
             gens.add(k)
         reached.add(k)
@@ -203,26 +229,44 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         into.setdefault(t, []).append(k)
         out_of.setdefault(s, []).append(k)
 
-    # size[p][a, s]: the rank of X_p(a, s), for each letter's end a and each
-    # source s with coordinates; C^p is X_p(s, s) for each s in order
+    # C^p holds X_p(s, s) from base[p][s] on, and cruns[p] = {letter k: first
+    # index of the pairs that begin with k} in C^p, whose run of k is
+    # X_{p-1}(target, source); at the top only the letters in gens have one.
+    # size[p][a, s] is the rank of X_p(a, s), for each letter's end a and
+    # each source s with coordinates.  Each degree's rank is checked against
+    # the budget as it is laid out, before the next degree is counted and
+    # before any word is walked
     ends = {e for k in letters for e in grading[k]}
     size = [{(a, s): len(by_block.get((s, a), ())) for a in ends
              for s in live}]
-    base, cruns, n = [{}], [None], 0
-    for s in order:
-        base[0][s] = n
-        n += len(by_block.get((s, s), ()))
-    for _ in range(top_degree):
-        x, y = size[-1], dict.fromkeys(size[-1], 0)
-        for k in letters:
-            a, t = grading[k]
-            for s in live:
-                y[a, s] += x[t, s]
-        size.append(y)
-    ranks = [n] + [sum(y.get((s, s), 0) for s in order) for y in size[1:]]
-    _check_budget(ranks, budget, tag)
-    if products is None:
-        products = {(u, v): A.mult[u][v] for u in letters for v in letters}
+    base, cruns, ranks = [], [], []
+    for p in range(top_degree + 1):
+        if p == top_degree:
+            pairs = products.items() if products is not None else (
+                ((u, v), c) for u in letters
+                for v, c in enumerate(A.mult[u]) if c and v in letters)
+            prodmap = _prodmap(letters, grading, pairs)
+            gens = _generators(letters, prodmap) if generator_top else letters
+        b, run, n = {}, {}, 0
+        for s in order:
+            b[s] = n
+            if not p:
+                n += len(by_block.get((s, s), ()))
+            for k in out_of.get(s, ()) if p else ():
+                if p < top_degree or k in gens:
+                    run[k] = n
+                    n += size[p - 1][grading[k][1], s]
+        base.append(b)
+        cruns.append(run)
+        ranks.append(n)
+        _check_budget(n, budget, tag, p)
+        if 0 < p < top_degree:
+            x, y = size[p - 1], dict.fromkeys(size[p - 1], 0)
+            for k in letters:
+                a, t = grading[k]
+                for s in live:
+                    y[a, s] += x[t, s]
+            size.append(y)
 
     # per block of coordinates, sides[st][0] lists the letters acting on it
     # from the left and sides[st][1] those acting from the right; per
@@ -249,35 +293,6 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
         # the sources of the letters acting from the left on blocks (s, .)
         lsrc.setdefault(s, set()).update(grading[k][0]
                                          for k in sides[s, t][0])
-    prodmap = {k: [] for k in letters}
-    for (u, v), coords in products.items():
-        for k, c in coords.items():
-            if k not in prodmap:
-                continue
-            if (grading[u][0], grading[u][1], grading[v][1]) != (
-                    grading[k][0], grading[v][0], grading[k][1]):
-                raise AlgebraError(
-                    "splitting data is inconsistent: product of letters "
-                    "%r, %r has a component off their blocks" % (u, v))
-            prodmap[k].append((u, v, c))
-    gens = (_generators(letters, prodmap, products) if generator_top
-            else letters)
-
-    # C^p holds X_p(s, s) from base[p][s] on, and cruns[p] = {letter k: first
-    # index of the pairs that begin with k} in C^p, whose run of k is
-    # X_{p-1}(target, source); at the top only the letters in gens have one
-    for p in range(top_degree):
-        firsts = letters if p < top_degree - 1 else gens
-        b, run, n = {}, {}, 0
-        for s in order:
-            b[s] = n
-            for k in out_of.get(s, ()):
-                if k in firsts:
-                    run[k] = n
-                    n += size[p][grading[k][1], s]
-        base.append(b)
-        cruns.append(run)
-        ranks[p + 1] = n
 
     xruns = {}
 
@@ -507,7 +522,7 @@ def jn_periodic_complex(A, top_degree=None, budget=DEFAULT_SIZE_BUDGET):
     kept = [(i, j) for i in range(n - 1, 0, -1) for j in range(n)]
     M = _unit_classes(A, kept, (), "M%d/J%d" % (n, n))
     m = M.dim
-    _check_budget([m], budget, "jn_periodic")
+    _check_budget(m, budget, "jn_periodic", 0)
     commutator = M.right[1].add(M.left[1].scale(-1))
     norm = Mat.zeros(m, m, domain)
     for i in range(n):

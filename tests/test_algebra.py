@@ -151,6 +151,17 @@ def test_catalog_sizes_and_dims():
         assert A.n == info["degree"], name
 
 
+@pytest.mark.parametrize("dom", [QQ, GF(2), ZZ], ids=["Q", "F2", "Z"])
+def test_full_and_triangular_families_keep_row_major_units(dom):
+    # M_n and B_n come from `_parabolic_basis`: the matrix units E_ij in
+    # row-major order, all of them or those with i <= j
+    for n in range(1, 9):
+        for fam, upper in (("M", False), ("B", True)):
+            want = [Mat(n, n, dom, {(i, j): 1}) for i in range(n)
+                    for j in range(i if upper else 0, n)]
+            assert list(catalog(fam + str(n), dom).basis) == want, (fam, n)
+
+
 def test_catalog_unknown_and_bad_params():
     with pytest.raises(UnknownName):
         catalog("S99", QQ)

@@ -17,7 +17,8 @@ from hochschild.cli import (UsageError, algebra_from_dict, algebra_to_dict,
                             main, parse_ring)
 from hochschild.exactla import GF, QQ, ZZ
 
-from _tabledata import ALL_NAMES
+from _tabledata import (ALL_NAMES, TANGENT, field_dims, normalizer_dim,
+                        z_data)
 
 
 def run(capsys, *argv):
@@ -170,9 +171,26 @@ def test_table_json_format(capsys):
         assert set(row["checks"]) == {"PASS"}
 
 
+@pytest.mark.parametrize("ring,char", [("Q", 0), ("Fp:2", 2), ("Fp:3", 3),
+                                       ("Z", 0)])
+def test_embedded_table_matches_the_transcription(ring, char):
+    # the --expected gate's formulas against the suite's own transcription,
+    # for every row in degrees 0..4
+    rows = cli._EXPECTED_ROWS[2] + cli._EXPECTED_ROWS[3]
+    assert tuple(row[0] for row in rows) == ALL_NAMES
+    for row in rows:
+        name = row[0]
+        want = z_data(name) if ring == "Z" else field_dims(name, char)
+        assert tuple(cli.expected_cell(row, i, ring)
+                     for i in range(5)) == want, name
+        assert cli.expected_normalizer(row, ring) == normalizer_dim(name,
+                                                                    char)
+        assert row[3] == TANGENT[name]
+
+
 def test_table_detects_mismatch(capsys, monkeypatch):
     rows = [list(r) for r in cli._EXPECTED_ROWS[2]]
-    rows[0][5] = 99  # sabotage one tangent dimension
+    rows[0][3] = 99  # sabotage one tangent dimension
     monkeypatch.setitem(cli._EXPECTED_ROWS, 2,
                         [tuple(r) for r in rows])
     rc, out, _ = run(capsys, "table", "--degree", "2", "--ring", "Q",
@@ -263,19 +281,24 @@ def test_table_builds_each_complex_once_per_row(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("max_degree", [0, 1, 2])
-@pytest.mark.parametrize("budget,tag,rank", [(10, "bar", 80),
-                                             (100, "cibils", 135)])
+@pytest.mark.parametrize("budget,tag,degree,rank", [(10, "bar", 1, 20),
+                                                    (70, "cibils", 3, 90)])
 def test_compute_moduli_budget_refusal_names_the_first_space(
-        capsys, max_degree, budget, tag, rank):
-    # N3's bar ranks to degree 2 are 5, 20, 80 and its cibils ranks 5, 15,
-    # 45, 135: the bar complex is sized first, then the method's complex to
-    # degree max(D, 2) + 1, and each refusal names the request's need
-    rc, out, err = run(capsys, "compute", "--algebra", "N3", "--ring", "Q",
-                       "--moduli", "--max-degree", str(max_degree),
-                       "--size-budget", str(budget))
+        capsys, max_degree, budget, tag, degree, rank):
+    # the request builds N3's bar complex to degree 2 with ranks 5, 20, 60
+    # and its cibils complex to degree max(D, 2) + 1 with ranks 5, 15, 45,
+    # 90 (both tops keep the words that begin with a generator): the bar
+    # complex is sized first, and a refusal names the first degree over the
+    # budget; at budget 100 both fit
+    argv = ["compute", "--algebra", "N3", "--ring", "Q", "--moduli",
+            "--max-degree", str(max_degree), "--size-budget"]
+    rc, out, err = run(capsys, *argv, str(budget))
     assert rc == 4 and not out
-    assert err == ("error: %s complex needs a cochain space of rank %d "
-                   "> budget %d\n" % (tag, rank, budget))
+    assert err == ("error: %s complex needs a cochain space of rank %d in "
+                   "degree %d > budget %d\n" % (tag, rank, degree, budget))
+    rc, out, err = run(capsys, *argv, "100")
+    assert rc == 0 and not err
+    assert len(json.loads(out)["H"]) == max_degree + 1
 
 
 def test_compute_moduli_bar_refusal_precedes_the_splitting(capsys,
@@ -292,26 +315,55 @@ def test_compute_moduli_bar_refusal_precedes_the_splitting(capsys,
     assert rc == 4 and err.startswith("error: bar complex")
     assert calls == []
     # a budget the bar complex fits reaches the splitting
-    rc, _, err = run(capsys, *argv, "100")
+    rc, _, err = run(capsys, *argv, "70")
     assert rc == 4 and err.startswith("error: cibils complex")
     assert calls == ["N3"]
 
 
 @pytest.mark.parametrize("argv,code,text", [
     (["compute", "--algebra", "N3", "--max-degree", "50000"], 4,
-     "error: cibils complex needs a cochain space of rank more than 10^"),
+     "error: cibils complex needs a cochain space of rank 2657205 in degree "
+     "12 > budget 2000000"),
     (["table", "--degree", "3", "--max-degree", "60000"], 4,
-     "error: cibils complex needs a cochain space of rank more than 10^"),
+     "error: cibils complex needs a cochain space of rank 2692538 in degree "
+     "29 > budget 2000000"),
     (["compute", "--algebra", "N3", "--ring", "F" + "7" * 5000], 2,
      "error: bad ring: F<p> with 5000 digits is too long"),
 ], ids=["compute-max-degree", "table-max-degree", "ring-prime"])
 def test_extreme_arguments_end_with_one_error_line(capsys, argv, code, text):
-    # a rank or a prime of more than 4,300 digits, which int <-> str
-    # conversion refuses, still ends with its documented exit code
+    # a degree far past the budget is refused at the first degree over it,
+    # and a prime of more than 4,300 digits, which str -> int conversion
+    # refuses, still ends with its documented exit code
     rc, out, err = run(capsys, *argv)
     assert rc == code and not out
     assert err.startswith(text) and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_refusal_counts_no_degree_past_the_budget(capsys):
+    # N3's cibils ranks 5 * 3^p pass the budget in degree 12; the 49,988
+    # degrees above it are never counted
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, "compute", "--algebra", "N3",
+                           "--max-degree", "50000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 4 and not out
+    assert err == ("error: cibils complex needs a cochain space of rank "
+                   "2657205 in degree 12 > budget 2000000\n")
+    assert peak < 2 ** 20
+
+
+def test_compute_b16_moduli_within_the_default_budget(capsys):
+    # the budget counts the bar complex's built top, 505,920 rows that
+    # begin with a generator, not its nominal rank 2,219,520
+    argv = ["compute", "--algebra", "B16", "--moduli", "--max-degree", "3"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and not err
+    assert run(capsys, *argv, "--size-budget", "100000000") == (0, out, "")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +450,9 @@ def test_compute_m2_cibils_takes_the_corner(capsys):
 
 
 def test_compute_p33_moduli_within_budget(capsys):
-    # the reduced complex of P33 exceeds the default budget at degree 3;
-    # its basic corner B2 does not
+    # the reduced complex of P33 exceeds the default budget in degree 4
+    # below its top (the top keeps only the words that begin with a
+    # generator); its basic corner B2 does not
     rc, out, _ = run(capsys, "compute", "--algebra", "P33", "--ring", "Q",
                      "--max-degree", "3", "--moduli")
     assert rc == 0
@@ -408,8 +461,10 @@ def test_compute_p33_moduli_within_budget(capsys):
     assert [r["dim"] for r in doc["H"]] == [0] * 4
     assert doc["moduli"]["normalizer_dim"] == doc["d"]
     rc, _, err = run(capsys, "compute", "--algebra", "P33", "--ring", "Q",
-                     "--max-degree", "3", "--method", "reduced")
-    assert rc == 4 and "budget" in err
+                     "--max-degree", "4", "--method", "reduced")
+    assert rc == 4
+    assert err == ("error: reduced complex needs a cochain space of rank "
+                   "4112784 in degree 4 > budget 2000000\n")
 
 
 def test_exit_code_missing_file(capsys):

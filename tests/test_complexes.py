@@ -356,14 +356,15 @@ def test_size_budget():
     reduced_bar_complex(A, top_degree=5, budget=2000)
     # ranks come from word counts, so refusals walk no words: building the
     # labels alone would take millions of words here
+    # the refusal names the first degree over the budget
     S11 = catalog("S11", QQ)
     with pytest.raises(SizeBudgetExceeded,
                        match=r"^cibils complex needs a cochain space of rank "
-                             r"2692538 > budget 2000000$"):
+                             r"2692538 in degree 29 > budget 2000000$"):
         cibils_complex(S11, top_degree=29)
     with pytest.raises(SizeBudgetExceeded,
                        match=r"^bar complex needs a cochain space of rank "
-                             r"4882812500 > budget 2000000$"):
+                             r"7812500 in degree 9 > budget 2000000$"):
         bar_complex(S11, top_degree=13)
     # M_n / A = 0 for full matrix algebras, so no word has coordinates and
     # none is walked (8^7 and 3^12 words of top length)
@@ -387,10 +388,22 @@ def test_size_budget_bounds_a_rank_too_long_to_print(worst):
     # past 4,300 digits int -> str conversion refuses, so the refusal names
     # a power of ten below the rank instead of failing itself
     with pytest.raises(SizeBudgetExceeded) as refusal:
-        complexes._check_budget([1, worst, 2], 10, "bar")
-    head, k = str(refusal.value).split(" > ")[0].split("10^")
+        complexes._check_budget(worst, 10, "bar", 3)
+    head, k = str(refusal.value).split(" in degree 3 > ")[0].split("10^")
     assert head == "bar complex needs a cochain space of rank more than "
     assert 10 ** int(k) < worst < 10 ** (int(k) + 2)
+
+
+def test_budget_of_the_longest_printable_rank_is_passed_by_a_longer_one():
+    # a library caller's budget may have 4,300 digits, the most int -> str
+    # prints; B5's bar ranks 10 * 15^p first pass it in degree 3656 with
+    # 4,301 digits, and the degrees above are not counted
+    with pytest.raises(SizeBudgetExceeded,
+                       match=r"^bar complex needs a cochain space of rank "
+                             r"more than 10\^4300 in degree 3656 > budget "
+                             r"9{4300}$"):
+        bar_complex(catalog("B5", QQ), top_degree=10 ** 6,
+                    budget=10 ** 4300 - 1)
 
 
 def test_word_complex_keeps_one_degree_of_tails():
@@ -416,11 +429,13 @@ def test_word_complex_keeps_one_degree_of_tails():
     (cibils_complex, "S11", 20)], ids=["bar", "reduced", "cibils"])
 def test_budget_is_checked_before_any_word(monkeypatch, build, name, top):
     # the full complex holds 10^4 to 10^5 words; none exists at the check
+    # of its top degree, the last one
     class Checked(Exception):
         pass
 
-    def check(ranks, budget, tag):
-        raise Checked(ranks)
+    def check(rank, budget, tag, degree):
+        if degree == top:
+            raise Checked(rank)
 
     A = catalog(name, QQ)
     if build is reduced_bar_complex:
@@ -434,7 +449,7 @@ def test_budget_is_checked_before_any_word(monkeypatch, build, name, top):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(checked.value.args[0]) > 10 ** 4
+    assert checked.value.args[0] > 10 ** 4
     assert peak < 2 ** 18
 
 

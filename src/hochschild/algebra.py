@@ -584,7 +584,7 @@ def validate_splitting(A, idempotent_mats, radical_mats):
         raise NotSplit("idempotents do not sum to the identity")
     for i, e in enumerate(idem):
         for j, f in enumerate(idem):
-            if i != j and not e.mul(f).is_zero():
+            if i != j and not e.mul_is_zero(f):
                 raise NotSplit("idempotents are not orthogonal")
     # must re-span A
     sub = verify_subalgebra(n, dom, list(idem) + list(rad), name=A.name)

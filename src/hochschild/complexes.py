@@ -10,10 +10,11 @@ letter, the products of neighbouring letters and the right action of an
 appended letter, with alternating signs.  Each degree's rank is counted
 once, from the word counts, and checked against the size budget before the
 next degree is counted, so a refusal names the first degree over the budget
-and comes before any word is built.  The actions that are not zero are
-listed once per coordinate, before any word, so a column walks only the
-letters that act on its coordinate: in the bar complex of an incidence
-algebra most letters act by zero on each one.
+and comes before any word is built; for bar and reduced on M_n/A it also
+comes before the bimodule is built, as their ranks need only n^2 - d.  The
+actions that are not zero are listed once per coordinate, before any word,
+so a column walks only the letters that act on its coordinate: in the bar
+complex of an incidence algebra most letters act by zero on each one.
 
 Each differential is built from the one before (a prefix recursion).
 X_p(a, s) is the space of pairs (word of p letters from block a, coordinate
@@ -34,7 +35,11 @@ d^p on X_p(s, s) is F^p(w, q), moved to the place of X_{p+1}(s, s) in
 C^{p+1}, plus the left actions on q; one generator computes F^p for both.
 F^{p-1} is kept on the X_{p-1}(a, s) that some later degree reads, one
 degree at a time.  The sizes of X_p(a, s) follow the same count as the
-ranks, before any work.
+ranks, before any work.  Every column is made in the domain's normal form
+(over F_p, -v is p - v), with no zero stored: only a sum into a row already
+present is normalized, so the kept -F^{p-1} carries no cancelled zero into
+later degrees, and the columns of d^p are its stored columns, with no second
+pass.
 
 With generator_top, C^T keeps only the words that begin with a letter of
 a set G (`generators` on the complex), since a request reads only the
@@ -68,9 +73,9 @@ bar complex needs a cochain space of rank 80 in degree 2 > budget 70
                          commutator in even degrees, norm map (zero on the
                          canonical quotient) in odd degrees
 
-Every constructor verifies d(p+1) . d(p) = 0 by exact multiplication.  The
-cup product is provided for bar/reduced cochains with an explicit
-coefficient pairing.
+Every constructor verifies d(p+1) . d(p) = 0 by exact multiplication, one
+product column at a time, with no product stored.  The cup product is
+provided for bar/reduced cochains with an explicit coefficient pairing.
 """
 
 from collections import Counter
@@ -123,7 +128,7 @@ class CochainComplex:
                 raise IndexError("differential %d has a row outside 0..%d"
                                  % (p, d.rows - 1))
         for p in range(len(self.diffs) - 1):
-            if not self.diffs[p + 1].mul(self.diffs[p]).is_zero():
+            if not self.diffs[p + 1].mul_is_zero(self.diffs[p]):
                 raise RuntimeError(
                     "d^%d . d^%d is nonzero (%s)" % (p + 1, p, method_tag))
         self.dd_verified = True
@@ -211,11 +216,13 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     {name: nonzero scalar} (default: A.mult), where a key that names no
     letter, the unit of the reduced complex, is left out.  C^0 takes the
     coordinates of blocks with source = target.  generator_top: see above.
+    M = None stands for M_n/A, of dimension n^2 - d in one block, built
+    only once every rank is within the budget.
     """
     dom = A.domain
     if grading is None:
         grading = dict.fromkeys(letters, (0, 0))
-        comp = [(0, 0)] * M.dim
+        comp = [(0, 0)] * (A.n * A.n - A.dim if M is None else M.dim)
     by_block, pos = {}, []
     for q, st in enumerate(comp):
         qs = by_block.setdefault(st, [])
@@ -267,11 +274,15 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                 for s in live:
                     y[a, s] += x[t, s]
             size.append(y)
+    if M is None:
+        M = quotient_bimodule(A)
 
     # per block of coordinates, sides[st][0] lists the letters acting on it
     # from the left and sides[st][1] those acting from the right; per
     # coordinate q, acts[q][side] holds (place in that list, [(row
-    # position, value)]) for each of those actions that is not zero on q
+    # position, value)]) for each of those actions that is not zero on q,
+    # with the right actions negated: every value is in normal form
+    norm = dom.normalize
     sides, acts, lsrc = {}, [([], []) for _ in comp], {}
     for (s, t), qs in by_block.items():
         sides[s, t] = ([], [])
@@ -287,7 +298,8 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                         "coordinate off block %r" % (k, want))
                 for q, col in cols:
                     acts[q][right].append((len(sides[s, t][right]), [
-                        (pos[r], v) for r, v in col.items()]))
+                        (pos[r], norm(-v) if right else v)
+                        for r, v in col.items()]))
                 if cols:
                     sides[s, t][right].append(k)
         # the sources of the letters acting from the left on blocks (s, .)
@@ -310,14 +322,19 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
 
     targets = {}  # _word_targets' lists, per (length, first block)
 
+    # -v in normal form, for the kept -F
+    negate = dom.characteristic.__sub__ if dom.characteristic else neg
+
     def f_columns(p, a, s, F, keep=None, crun=None):
         """F^p on X_p(a, s), one {row: value} column at a time, with rows in
         X_{p+1}(a, s); (rows, -values) of each is appended to keep unless it
-        is None.  With crun, each letter's first index in C^{p+1}, a = s and
-        the columns are those of d^p on X_p(s, s): F^p with its rows moved
-        by base[p+1][s], plus the left actions, where the row word k w of a
-        letter k: s2 -> s begins at k's run plus w's place in X_p(s, s2);
-        a row whose first letter has no run in run1 is left out."""
+        is None.  Every value is in normal form and none is zero: only the
+        sums into a row already present are normalized.  With crun, each
+        letter's first index in C^{p+1}, a = s and the columns are those of
+        d^p on X_p(s, s): F^p with its rows moved by base[p+1][s], plus the
+        left actions, where the row word k w of a letter k: s2 -> s begins
+        at k's run plus w's place in X_p(s, s2); a row whose first letter
+        has no run in run1 is left out."""
         run1 = xrun(p + 1, a, s) if crun is None else crun
         for w0 in out_of.get(a, ()) if p else (None,):
             if p:
@@ -328,7 +345,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                 # for the products u v with c w0 in them, plus column i of
                 # -F^{p-1} (kept from base[p][s] on when b = s) moved to
                 # the run
-                inner = [(run1[u] + xrun(p, grading[u][1], s)[v], c)
+                inner = [(run1[u] + xrun(p, grading[u][1], s)[v], norm(-c))
                          for u, v, c in prodmap[w0] if u in run1]
                 prev = F[b, s]
                 shift = (run1[w0] - (base[p][s] if b == s else 0)).__add__ \
@@ -351,28 +368,32 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     for s2 in at:
                         at[s2] += len(by_block.get((s2, t), ()))
                 for q in qs:
+                    # whether a sum cancelled: its row is deleted, and the
+                    # column is rebuilt from its items at the end, since a
+                    # deletion never shrinks a dict's table, nor does
+                    # dict(col)
+                    cut = False
                     if p:
                         rows, vals = prev[i]
                         col = dict(zip(map(shift, rows), vals)) \
                             if rows and shift else {}
-                        get = col.get
                         for off, c in inner:
                             key = off + i
-                            col[key] = get(key, 0) - c
+                            if key in col:
+                                c = norm(col[key] + c)
+                                if not c:
+                                    del col[key]
+                                    cut = True
+                                    continue
+                            col[key] = c
                         i += 1
                     else:
-                        col = {}
-                        get = col.get
-                        for h, pairs in acts[q][1]:
-                            off = roffs[h]
-                            if off is None:
-                                continue
-                            for r, v in pairs:
-                                key = off + r
-                                col[key] = get(key, 0) - v
+                        # the letters' runs are disjoint: no row repeats
+                        col = {roffs[h] + r: v for h, pairs in acts[q][1]
+                               if roffs[h] is not None for r, v in pairs}
                     if keep is not None:
                         keep.append((tuple(col),
-                                     tuple(map(neg, col.values()))))
+                                     tuple(map(negate, col.values()))))
                     if crun is not None:
                         for h, pairs in acts[q][0]:
                             off = offs[h]
@@ -380,8 +401,14 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                                 continue
                             for r, v in pairs:
                                 key = off + r
-                                col[key] = get(key, 0) + v
-                    yield col
+                                if key in col:
+                                    v = norm(col[key] + v)
+                                    if not v:
+                                        del col[key]
+                                        cut = True
+                                        continue
+                                col[key] = v
+                    yield dict(col.items()) if cut else col
 
     # need[p]: the (a, s) whose F^p a later degree reads: d^{p+1} reads
     # X_p(target, source) of each letter, and F^{p+1} on X_{p+1}(a, s) reads
@@ -402,7 +429,7 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     diffs, F = [], {}
     for p in range(top_degree):
         G = {key: [] for key in need[p]}
-        diffs.append(Mat.from_columns(
+        diffs.append(Mat._adopt(
             ranks[p + 1], ranks[p], dom, chain.from_iterable(
                 zip(count(base[p][s]),
                     f_columns(p, s, s, F, G.get((s, s)), cruns[p + 1]))
@@ -436,9 +463,7 @@ def bar_complex(A, M=None, top_degree=None, budget=DEFAULT_SIZE_BUDGET,
     """Hom(A^{tensor p}, M) with the three-part alternating differential."""
     if top_degree is None:
         top_degree = DEFAULT_TOP_DEGREE["bar"]
-    if M is None:
-        M = quotient_bimodule(A)
-    if len(M.left) != A.dim:
+    if M is not None and len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
     return _word_complex("bar", A, M, top_degree, budget,
                          {k: k for k in range(A.dim)},
@@ -452,12 +477,11 @@ def reduced_bar_complex(A, M=None, top_degree=None,
         top_degree = DEFAULT_TOP_DEGREE["reduced"]
     if M is None:
         A = A.with_unit_first()
-        M = quotient_bimodule(A)
     if not A.basis[0] == Mat.identity(A.n, A.domain):
         raise AlgebraError(
             "reduced complex needs the unit pinned first; "
             "call with_unit_first() and rebuild the bimodule")
-    if len(M.left) != A.dim:
+    if M is not None and len(M.left) != A.dim:
         raise AlgebraError("bimodule does not match the algebra")
     return _word_complex("reduced", A, M, top_degree, budget,
                          {k: k for k in range(1, A.dim)},

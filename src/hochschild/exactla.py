@@ -32,7 +32,11 @@ int); over Z they are plain `int`, and over F_p residues in [0, p).  A
 domain has no arithmetic of its own beyond `inv`: callers compute with
 plain + - * and int literals, then pass the result through
 `domain.normalize`, which reduces it (mod p over F_p, to an int when
-integral over Q) and rejects what the domain cannot hold.
+integral over Q) and rejects what the domain cannot hold.  `Mat(...)` and
+`Mat.from_columns` take raw values and normalize each once, into new
+dicts; a builder whose columns are already in normal form hands them to
+`Mat._adopt`, which keeps the dicts as they are.  `Mat.mul_is_zero` decides
+whether a product is zero one column at a time and stores no product.
 Rank over Q is fraction-free: rows are scaled to integers and updated by
 two-term integer combinations with gcd stripping, so intermediate swell
 stays bounded by minors of the input.
@@ -49,7 +53,9 @@ vector is nonzero there, so this one lies outside their span and adds 1
 to their rank.  Over Z a +-1 there clears the rest of the vector by
 unimodular steps, splitting off 1 (+) m'; a larger entry need not divide
 the rest, so it is never taken and stays for the eliminator and the dense
-core.  The holders of each position are counted in one C-level pass.
+core.  The holders of each position are counted into a plain dict in one
+C-level pass, and each vector's least private position is found in one
+loop over its entries.
 
 The vectors left go to one eliminator.  The pivot row is the shortest
 eligible row, ties broken by index, popped from a lazy min-heap instead of
@@ -81,7 +87,7 @@ those of the dense core.
 (2, 4)
 """
 
-from collections import Counter, defaultdict, namedtuple
+from collections import _count_elements, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -253,8 +259,8 @@ class Mat:
             raise IndexError("entry outside a %dx%d matrix" % (rows, cols))
 
     def _normalized(self, columns):
-        """The one normalization pass over (col, {row: raw value}) pairs,
-        taken one at a time, so a generator holds one raw column."""
+        """Normalize (col, {row: raw value}) pairs into new columns, one
+        pair at a time, so a generator holds one raw column."""
         norm = self.domain.normalize
         out = {}
         for j, raw in columns:
@@ -268,12 +274,23 @@ class Mat:
 
     @classmethod
     def from_columns(cls, rows, cols, domain, columns):
-        """Matrix from (col, {row: value}) pairs, normalized as in Mat(); for
-        builders whose indices are in range by construction (not checked:
-        see rows_in_range)."""
+        """Matrix from (col, {row: raw value}) pairs, normalized as in Mat()
+        into new dicts; for builders whose indices are in range by
+        construction (not checked: see rows_in_range)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.domain = rows, cols, domain
         m._c = m._normalized(columns)
+        return m
+
+    @classmethod
+    def _adopt(cls, rows, cols, domain, columns):
+        """Matrix whose columns are the dicts of (col, {row: value}) pairs
+        themselves, with no normalization pass: each value must already be
+        in the domain's normal form and nonzero, each row in range, and no
+        dict may change afterwards.  An empty column is left out."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.domain = rows, cols, domain
+        m._c = {j: col for j, col in columns if col}
         return m
 
     @classmethod
@@ -337,13 +354,14 @@ class Mat:
             (j, {i: v * c for i, v in col.items()})
             for j, col in self._c.items()))
 
-    def mul(self, other):
-        """self * other, column j being sum_k other[k, j] * self[:, k]."""
+    def _product_columns(self, other):
+        """(j, column j of self * other as {row: raw sum}) for each stored
+        column j of other, one at a time."""
         if self.cols != other.rows or self.domain != other.domain:
             raise ValueError("incompatible shapes/domains for product")
         left = self._c
 
-        def product_columns():
+        def columns():
             for j, bcol in other._c.items():
                 acc = {}
                 get = acc.get
@@ -353,8 +371,22 @@ class Mat:
                         for i, v in col.items():
                             acc[i] = get(i, 0) + v * w
                 yield j, acc
+        return columns()
+
+    def mul(self, other):
+        """self * other, column j being sum_k other[k, j] * self[:, k]."""
         return Mat.from_columns(self.rows, other.cols, self.domain,
-                                product_columns())
+                                self._product_columns(other))
+
+    def mul_is_zero(self, other):
+        """Whether self * other is zero, decided one column at a time with
+        no product stored: in characteristic 0 an exact sum is zero iff it
+        is falsy, and over F_p each sum is reduced first."""
+        p = self.domain.characteristic
+        for _, acc in self._product_columns(other):
+            if any(map(p.__rmod__, acc.values()) if p else acc.values()):
+                return False
+        return True
 
     def apply(self, vec):
         """Matrix-vector product; vec is a sequence of length self.cols."""
@@ -439,10 +471,10 @@ def _eliminate(live, choose, update):
     of prow, and empty when nothing is left.  Returns the pivot columns, in
     the order taken, and the rows left over, none eligible.
     """
-    col_index = defaultdict(list)
+    col_index = {}
     for i, r in live.items():
         for j in r:
-            col_index[j].append(i)
+            col_index.setdefault(j, []).append(i)
     # heap keys are length * stride + index: ints order faster than tuples
     stride = max(live, default=0) + 1
     heap = [len(r) * stride + i for i, r in live.items()]
@@ -550,17 +582,18 @@ def _peel(live, units):
     modified.  Returns the positions taken, in order: each taken vector is
     zero at the positions taken before it, and so is every vector left.
     """
-    count = Counter(chain.from_iterable(live.values()))
+    count = {}
+    _count_elements(count, chain.from_iterable(live.values()))
     taken = []
     for i in sorted(live):
         row = live[i]
-        if units:
-            private = [j for j, v in row.items()
-                       if count[j] == 1 and (v == 1 or v == -1)]
-        else:
-            private = [j for j in row if count[j] == 1]
-        if private:
-            taken.append(min(private))
+        least = None
+        for j, v in row.items():
+            if count[j] == 1 and (least is None or j < least) and (
+                    not units or v == 1 or v == -1):
+                least = j
+        if least is not None:
+            taken.append(least)
             for j in row:
                 count[j] -= 1
             del live[i]

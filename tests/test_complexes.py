@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from hochschild import complexes
-from hochschild.algebra import (AlgebraError, Bimodule, catalog,
+from hochschild.algebra import (AlgebraError, Bimodule, Splitting, catalog,
                                 conjugate_algebra, detect_splitting,
                                 ideal_quotient_bimodule, morita_corner,
                                 quotient_bimodule, regular_bimodule,
@@ -269,9 +269,9 @@ def test_dd_check_rejects_corrupted_differential(build, dom):
 def test_cancelling_raw_sums_store_nothing(dom, a, b):
     m = Mat(2, 3, dom, {(0, 0): a + b, (1, 2): a})
     assert m.nnz() == 1 and m.entry(0, 0) == 0 and m.entry(1, 2) == a
-    # the d.d product accumulates raw sums the same way
-    row = Mat.from_rows([[a, b]], dom)
-    assert row.mul(Mat.from_rows([[1], [1]], dom)).is_zero()
+    # the d.d check accumulates raw sums the same way
+    row, col = Mat.from_rows([[a, b]], dom), Mat.from_rows([[1], [1]], dom)
+    assert row.mul(col).is_zero() and row.mul_is_zero(col)
 
 
 @pytest.mark.parametrize("dom", RINGS, ids=repr)
@@ -279,8 +279,8 @@ def test_cancelling_raw_sums_store_nothing(dom, a, b):
 def test_raw_sums_out_of_range(dom, key):
     with pytest.raises(IndexError):
         Mat(2, 3, dom, {(0, 0): 1, key: 1})
-    # from_columns takes its indices as given; a complex checks the rows
-    # of its differentials, as the word builder's come from from_columns
+    # from_columns takes its indices as given, as the word builder's
+    # adopted columns are; a complex checks the rows of its differentials
     i, j = key
     if 0 <= j < 3:
         d = Mat.from_columns(2, 3, dom, [(0, {0: 1}), (j, {i: 1})])
@@ -757,3 +757,78 @@ def test_generator_top_is_an_option():
     assert bar_complex(A, top_degree=2).ranks == (5, 20, 80)
     cx = bar_complex(A, top_degree=2, generator_top=True)
     assert cx.ranks == (5, 20, 60) and cx.generators == (0, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the word builder's columns are the differential: no normalization pass
+
+
+def _assert_normal_form(d):
+    """Every stored column of d is nonempty, every value is in its domain's
+    normal form and not zero, and d equals its rebuild by from_columns;
+    returns the types of the values."""
+    dom, types = d.domain, set()
+    for col in d._c.values():
+        assert col
+        for v in col.values():
+            # Mat == takes Fraction(2, 1) for 2: check the type
+            types.add(type(v))
+            if type(v) is Fraction:
+                assert dom == QQ and v.denominator != 1
+            else:
+                assert type(v) is int
+            assert 0 < v < dom.p if dom.characteristic else v
+    assert d == Mat.from_columns(d.rows, d.cols, dom, d._c.items())
+    return types
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+def test_builder_columns_are_in_normal_form(dom):
+    for name in ALL_NAMES:
+        A = catalog(name, dom)
+        for build in BUILDERS[:2] + [_cibils_of]:
+            for top in (False, True):
+                cx = _fitting_top(partial(build, generator_top=top), A,
+                                  cap=1500)
+                for d in cx.diffs:
+                    _assert_normal_form(d)
+
+
+@pytest.mark.parametrize("dom", RINGS, ids=repr)
+@pytest.mark.parametrize("name", ["S11", "N3", "J4", "B4", "S6", "P21"])
+def test_builder_columns_are_in_normal_form_on_conjugates(name, dom):
+    # products with several letters, and over Q Fraction constants
+    C = _seeded_conjugate(catalog(name, dom), 1)
+    types = set()
+    for build, B in ((bar_complex, C), (reduced_bar_complex,
+                                        C.with_unit_first())):
+        modules = [regular_bimodule(B)[0]]
+        if dom.is_field:
+            modules.append(quotient_bimodule(B))
+        for M in modules:
+            for d in _fitting_top(partial(build, M=M), B).diffs:
+                types |= _assert_normal_form(d)
+    # a conjugate is not split; cibils takes the radical rescaled instead
+    B, sp = _rescaled_radical(catalog(name, dom), random.Random(1))
+    for M in (quotient_bimodule(B), regular_bimodule(B)[0]):
+        for d in _fitting_top(partial(cibils_complex, splitting=sp, M=M),
+                              B).diffs:
+            types |= _assert_normal_form(d)
+    assert (Fraction in types) == (dom == QQ)
+
+
+def _rescaled_radical(A, rng):
+    """(B, its splitting): A's cibils target with each radical letter times
+    a unit drawn from rng (over Q also 2 and 1/2), so that over Q the
+    radical products have Fraction constants."""
+    (A, sp), dom = _cibils_target(A), A.domain
+    units = {QQ: (1, -1, 2, Fraction(1, 2)), ZZ: (1, -1), GF(2): (1,),
+             GF(3): (1, 2)}[dom]
+    idem = [b for k, b in enumerate(A.basis) if k not in sp.radical_indices]
+    B = verify_subalgebra(A.n, dom, idem + [
+        x.scale(rng.choice(units)) for x in sp.radical])
+    at = range(len(idem), B.dim)
+    products = {(i, j): {k - len(idem): v for k, v in B.mult[a][b].items()}
+                for i, a in enumerate(at) for j, b in enumerate(at)}
+    return B, Splitting(idem, [B.basis[k] for k in at], at, sp.bigrading,
+                        products)

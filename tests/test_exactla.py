@@ -3,9 +3,10 @@
 import random
 import time
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 import pytest
 import sympy
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hochschild import exactla
 from hochschild.algebra import NotInvertible, catalog, mat_inverse
 from hochschild.cohomology import cohomology_of
-from hochschild.complexes import reduced_bar_complex
+from hochschild.complexes import CochainComplex, reduced_bar_complex
 from hochschild.exactla import (GF, QQ, ZZ, DomainNotField, Echelon, Mat,
                                 NoSolution, kernel_basis, rank,
                                 smith_normal_form, solve)
@@ -708,6 +709,34 @@ def test_peel_matches_the_unpeeled_eliminator(case):
         assert _unpeeled_rank(at, (), []) == len(got)
 
 
+def _counter_peel(live, units):
+    # the peel as it was with a Counter, kept as the reference
+    count = Counter(chain.from_iterable(live.values()))
+    taken = []
+    for i in sorted(live):
+        row = live[i]
+        if units:
+            private = [j for j, v in row.items()
+                       if count[j] == 1 and (v == 1 or v == -1)]
+        else:
+            private = [j for j in row if count[j] == 1]
+        if private:
+            taken.append(min(private))
+            for j in row:
+                count[j] -= 1
+            del live[i]
+    return taken
+
+
+@settings(max_examples=300, deadline=None)
+@given(_peelable(), st.booleans())
+def test_peel_takes_what_the_counter_peel_took(case, units):
+    m, skip = case
+    live, want = (exactla._stored_columns(m, skip) for _ in range(2))
+    assert exactla._peel(live, units) == _counter_peel(want, units)
+    assert live == want
+
+
 def test_from_columns_normalizes_once(monkeypatch):
     calls = []
     orig = Mat._normalized
@@ -856,3 +885,52 @@ def test_column_storage_arguments_survive(m):
     assert _unchanged(m, lambda x: solve(x, rhs)) is not NoSolution
     if m.domain == QQ:
         assert k == _sympy_rows(m).rank()
+
+
+# ---------------------------------------------------------------------------
+# the product-is-zero test of the d.d check
+
+
+@st.composite
+def _product_pair(draw):
+    # random sparse a (r x k) and b (k x c), b either random or built from
+    # a's kernel, so that zero products are drawn as well as nonzero ones
+    dom = draw(st.sampled_from(_RINGS))
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    values = st.integers(-4, 4)
+    if dom == QQ:
+        values = st.builds(Fraction, values, st.integers(1, 3))
+
+    def sparse(rows, cols):
+        return Mat(rows, cols, dom, draw(st.dictionaries(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+            values, min_size=1, max_size=rows * cols)))
+    a = sparse(r, k)
+    kern = kernel_basis(a)
+    if kern and draw(st.booleans()):
+        scales = draw(st.lists(st.integers(1, 3), min_size=c, max_size=c))
+        return a, Mat(k, c, dom, {
+            (i, j): v * f for j, f in enumerate(scales)
+            for i, v in enumerate(kern[j % len(kern)])})
+    return a, sparse(k, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_product_pair())
+def test_mul_is_zero_matches_the_stored_product(pair):
+    a, b = pair
+    assert a.mul_is_zero(b) == a.mul(b).is_zero()
+
+
+@pytest.mark.parametrize("p, scale", [(2, 1), (3, 1), (3, 2), (5, 4)])
+def test_dd_check_reduces_raw_sums_over_fp(p, scale):
+    # d^1 d^0 sums p copies of scale: the raw sum p * scale is a nonzero
+    # int, and zero in F_p
+    dom = GF(p)
+    d0 = Mat(p, 1, dom, {(i, 0): scale for i in range(p)})
+    d1 = Mat(1, p, dom, {(0, i): 1 for i in range(p)})
+    assert d1.mul_is_zero(d0)
+    cx = CochainComplex("hand", dom, (1, p, 1), [d0, d1], [[]] * 3)
+    assert cx.dd_verified
+    with pytest.raises(ValueError, match="incompatible"):
+        d0.mul_is_zero(d0)

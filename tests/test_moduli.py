@@ -2,10 +2,12 @@
 
 import pytest
 
+from hochschild import algebra
 from hochschild.algebra import (catalog, conjugate_algebra, quotient_bimodule,
                                 regular_bimodule, verify_subalgebra)
 from hochschild.cohomology import cohomology_of
-from hochschild.complexes import SizeBudgetExceeded, bar_complex
+from hochschild.complexes import (SizeBudgetExceeded, bar_complex,
+                                  reduced_bar_complex)
 from hochschild.exactla import GF, QQ, ZZ, Mat, kernel_basis, rank
 from hochschild.moduli import (INCONCLUSIVE, YES, ModuliReport, certificates,
                                derivation_space, moduli_report, normalizer,
@@ -242,6 +244,28 @@ def test_budget_threads_through():
     A = catalog("S4", QQ)
     with pytest.raises(SizeBudgetExceeded):
         moduli_report(A, budget=3, degrees=range(4))
+
+
+def test_bar_refusal_builds_no_quotient_bimodule(monkeypatch):
+    # the bar complex's ranks need only n^2 - d and A's products, so a
+    # refusal comes before M_n/A: B30's report is refused at degree 2
+    # with no unit class built (it took most of the refusal's time)
+    calls = []
+    orig = algebra._unit_classes
+    monkeypatch.setattr(algebra, "_unit_classes",
+                        lambda *args: calls.append(args) or orig(*args))
+    A = catalog("B30", QQ)
+    with pytest.raises(SizeBudgetExceeded, match=(
+            r"^bar complex needs a cochain space of rank 11934225 in degree "
+            r"2 > budget 2000000$")):
+        moduli_report(A, degrees=range(4))
+    with pytest.raises(SizeBudgetExceeded,
+                       match="rank 45 in degree 2 > budget 20"):
+        reduced_bar_complex(catalog("N3", QQ), top_degree=2, budget=20)
+    assert calls == []
+    # within the budget the bimodule is built once, after the sizing
+    assert bar_complex(catalog("N3", QQ), top_degree=2).module.dim == 5
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name,dom", [("J3", ZZ), ("S11", QQ), ("M2", GF(2)),

@@ -38,8 +38,8 @@ degree at a time.  The sizes of X_p(a, s) follow the same count as the
 ranks, before any work.  Every column is made in the domain's normal form
 (over F_p, -v is p - v), with no zero stored: only a sum into a row already
 present is normalized, so the kept -F^{p-1} carries no cancelled zero into
-later degrees, and the columns of d^p are its stored columns, with no second
-pass.
+later degrees, and each column of d^p is packed into its store as it is
+made, with no second pass.
 
 With generator_top, C^T keeps only the words that begin with a letter of
 a set G (`generators` on the complex), since a request reads only the
@@ -283,15 +283,18 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
     # position, value)]) for each of those actions that is not zero on q,
     # with the right actions negated: every value is in normal form
     norm = dom.normalize
-    sides, acts, lsrc = {}, [([], []) for _ in comp], {}
+    sides, acts, lsrc, stored = {}, [([], []) for _ in comp], {}, {}
     for (s, t), qs in by_block.items():
         sides[s, t] = ([], [])
         for right, ks, mats in ((0, into.get(s, ()), M.left),
                                 (1, out_of.get(t, ()), M.right)):
             for k in ks:
                 want = (s, grading[k][1]) if right else (grading[k][0], t)
-                cols = [(q, col) for q in qs
-                        if (col := mats[letters[k]].column(q))]
+                # each action's stored columns, read once for all blocks
+                if (right, k) not in stored:
+                    stored[right, k] = mats[letters[k]].columns()
+                acting = stored[right, k]
+                cols = [(q, acting[q]) for q in qs if q in acting]
                 if any(comp[r] != want for _, col in cols for r in col):
                     raise AlgebraError(
                         "splitting data is inconsistent: letter %r moves a "
@@ -368,11 +371,6 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                     for s2 in at:
                         at[s2] += len(by_block.get((s2, t), ()))
                 for q in qs:
-                    # whether a sum cancelled: its row is deleted, and the
-                    # column is rebuilt from its items at the end, since a
-                    # deletion never shrinks a dict's table, nor does
-                    # dict(col)
-                    cut = False
                     if p:
                         rows, vals = prev[i]
                         col = dict(zip(map(shift, rows), vals)) \
@@ -383,7 +381,6 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                                 c = norm(col[key] + c)
                                 if not c:
                                     del col[key]
-                                    cut = True
                                     continue
                             col[key] = c
                         i += 1
@@ -405,10 +402,9 @@ def _word_complex(tag, A, M, top_degree, budget, letters, grading=None,
                                     v = norm(col[key] + v)
                                     if not v:
                                         del col[key]
-                                        cut = True
                                         continue
                                 col[key] = v
-                    yield dict(col.items()) if cut else col
+                    yield col
 
     # need[p]: the (a, s) whose F^p a later degree reads: d^{p+1} reads
     # X_p(target, source) of each letter, and F^{p+1} on X_{p+1}(a, s) reads
@@ -505,12 +501,12 @@ def cibils_complex(A, splitting=None, M=None, top_degree=None,
     nb = len(sp.idempotents)
 
     # component of each module basis vector under e_t . m . e_u
-    lefts_e = [M.left[idem_idx[t]] for t in range(nb)]
-    rights_e = [M.right[idem_idx[t]] for t in range(nb)]
+    lefts_e = [M.left[idem_idx[t]].columns() for t in range(nb)]
+    rights_e = [M.right[idem_idx[t]].columns() for t in range(nb)]
 
-    def _pick(mats, q):
-        hits = [t for t in range(nb) if mats[t].column(q)]
-        if len(hits) == 1 and mats[hits[0]].column(q) == {q: 1}:
+    def _pick(actions, q):
+        hits = [t for t in range(nb) if q in actions[t]]
+        if len(hits) == 1 and actions[hits[0]][q] == {q: 1}:
             return hits[0]
         return None
 

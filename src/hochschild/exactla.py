@@ -23,23 +23,33 @@ no transform matrix is ever formed.
 A coordinate vector has one sparse format, {index: nonzero normalized
 scalar}: Echelon.coords returns it (the zero vector is {}), and the
 structure constants and pairings of `algebra` store it, so no reader
-filters zeros again.  Matrices are stored by column, {col: {row: nonzero
-scalar}} (Saad, Iterative Methods for Sparse Linear Systems, 3.4), so
-complexes are built, multiplied and eliminated column by column.  Scalars
-over Q are `int` when integral and `Fraction` otherwise (arithmetic may
-leave a `Fraction` with denominator 1, which equals and hashes like its
-int); over Z they are plain `int`, and over F_p residues in [0, p).  A
-domain has no arithmetic of its own beyond `inv`: callers compute with
-plain + - * and int literals, then pass the result through
-`domain.normalize`, which reduces it (mod p over F_p, to an int when
-integral over Q) and rejects what the domain cannot hold.  `Mat(...)` and
-`Mat.from_columns` take raw values and normalize each once, into new
-dicts; a builder whose columns are already in normal form hands them to
-`Mat._adopt`, which keeps the dicts as they are.  `Mat.mul_is_zero` decides
-whether a product is zero one column at a time and stores no product.
-Rank over Q is fraction-free: rows are scaled to integers and updated by
-two-term integer combinations with gcd stripping, so intermediate swell
-stays bounded by minors of the input.
+filters zeros again.  A matrix is stored as compressed columns (Saad,
+Iterative Methods for Sparse Linear Systems, 3.4): the rows of its
+nonzero entries, column after column, in one row store, their values in
+one list, and the start of each column in the row store, with a last
+start at its end, so complexes are built, multiplied and eliminated
+column by column.  A column keeps its rows in the order they were given.
+Past 4096 entries (_CHUNK) the rows and starts are arrays of 4-byte ints
+(8 where an index may pass 2^31), a tenth of the memory of dicts with int
+keys; up to it they stay lists, cheaper to build for the many small
+matrices of a table.  Only the vectors that reach the eliminator or the dense
+Smith core are made into dicts again.  Scalars over Q are `int` when
+integral and `Fraction` otherwise (arithmetic may leave a `Fraction` with
+denominator 1, which equals and hashes like its int); over Z they are
+plain `int`, and over F_p residues in [0, p).  A domain has no arithmetic
+of its own beyond `inv`: callers compute with plain + - * and int
+literals, then pass the result through `domain.normalize`, which reduces
+it (mod p over F_p, to an int when integral over Q) and rejects what the
+domain cannot hold.  `Mat(...)` and `Mat.from_columns` take raw values and
+normalize each once; a builder whose columns are already in normal form
+hands them, one dict at a time, to `Mat._adopt`, which packs each as it
+comes, so the builder holds one column dict at a time.  `Mat.mul_is_zero`
+decides whether a product is zero one column at a time and stores no
+product; over F_2, where every stored value is 1, it counts the rows of
+each product column in C and tests their parity.  Rank over Q is
+fraction-free: rows are scaled to integers and updated by two-term
+integer combinations with gcd stripping, so intermediate swell stays
+bounded by minors of the input.
 
 Pivot choices are deterministic.  rank and the sparse phase of
 smith_normal_form take the stored columns of m as their vectors (rank and
@@ -53,9 +63,10 @@ vector is nonzero there, so this one lies outside their span and adds 1
 to their rank.  Over Z a +-1 there clears the rest of the vector by
 unimodular steps, splitting off 1 (+) m'; a larger entry need not divide
 the rest, so it is never taken and stays for the eliminator and the dense
-core.  The holders of each position are counted into a plain dict in one
-C-level pass, and each vector's least private position is found in one
-loop over its entries.
+core.  The peel reads the packed store: the holders of each position are
+counted in a list indexed by row (a dict would cost several times its
+memory), each column's least private position is found in one loop over
+its rows, and only the columns it leaves are made into dicts.
 
 The vectors left go to one eliminator.  The pivot row is the shortest
 eligible row, ties broken by index, popped from a lazy min-heap instead of
@@ -87,10 +98,11 @@ those of the dense core.
 (2, 4)
 """
 
+from array import array
 from collections import _count_elements, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import count, islice, repeat
 from math import gcd, lcm
 
 
@@ -233,9 +245,11 @@ ZZ = _Integers()
 
 
 class Mat:
-    """Immutable-by-convention sparse matrix over one coefficient domain."""
+    """Immutable-by-convention sparse matrix over one coefficient domain,
+    stored as compressed columns: column j holds the rows _row[a:b] with
+    the values _val[a:b], for a, b = _start[j], _start[j + 1]."""
 
-    __slots__ = ("rows", "cols", "domain", "_c")
+    __slots__ = ("rows", "cols", "domain", "_start", "_row", "_val")
 
     def __init__(self, rows, cols, domain, entries=None):
         """Matrix from a map (row, col) -> value.
@@ -252,45 +266,86 @@ class Mat:
             for (i, j), v in entries.items():
                 if v:  # a falsy raw value is zero in every domain
                     by_col.setdefault(j, {})[i] = v
-        c = self._c = self._normalized(by_col.items())
-        if c and not (0 <= min(c) and max(c) < cols
-                      and 0 <= min(map(min, c.values()))
-                      and max(map(max, c.values())) < rows):
+        self._pack(self._normalized(sorted(by_col.items())))
+        if not self.rows_in_range():
             raise IndexError("entry outside a %dx%d matrix" % (rows, cols))
 
     def _normalized(self, columns):
         """Normalize (col, {row: raw value}) pairs into new columns, one
         pair at a time, so a generator holds one raw column."""
         norm = self.domain.normalize
-        out = {}
         for j, raw in columns:
             col = {}
             for i, v in raw.items():
                 if (w := norm(v)):
                     col[i] = w
-            if col:
-                out[j] = col
-        return out
+            yield j, col
 
-    @classmethod
-    def from_columns(cls, rows, cols, domain, columns):
-        """Matrix from (col, {row: raw value}) pairs, normalized as in Mat()
-        into new dicts; for builders whose indices are in range by
-        construction (not checked: see rows_in_range)."""
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.domain = rows, cols, domain
-        m._c = m._normalized(columns)
-        return m
+    def _pack(self, columns):
+        """Fill the store from (col, {row: value}) pairs in increasing col
+        order, every value in normal form and nonzero; a col left out, or
+        with an empty dict, is empty.  Rows and column ends are gathered
+        in lists, which are the store of a matrix of at most _CHUNK
+        entries; a larger one moves them into arrays a chunk at a time."""
+        rows, cols = self.rows, self.cols
+        start = row = None
+        val, ends, buf = [], [0], []
+        n = done = 0  # the next col, the entries moved into arrays
+        try:
+            for j, col in columns:
+                if not col:
+                    continue
+                if j != n:
+                    if not n < j < cols:
+                        raise IndexError
+                    ends += repeat(len(val), j - n)
+                buf += col
+                val += col.values()
+                ends.append(e := len(val))
+                n = j + 1
+                if e - done > _CHUNK:
+                    if start is None:
+                        start, row = _indices(rows * cols), _indices(rows)
+                    row.fromlist(buf)
+                    start.fromlist(ends)
+                    buf, ends, done = [], [], e
+            if n != cols:
+                if n > cols:
+                    raise IndexError
+                ends += repeat(len(val), cols - n)
+            if start is None:
+                start, row = ends, buf
+            else:
+                row.fromlist(buf)
+                start.fromlist(ends)
+        except (IndexError, OverflowError):
+            raise IndexError("entry outside a %dx%d matrix"
+                             % (rows, cols)) from None
+        self._start, self._row, self._val = start, row, val
 
     @classmethod
     def _adopt(cls, rows, cols, domain, columns):
-        """Matrix whose columns are the dicts of (col, {row: value}) pairs
-        themselves, with no normalization pass: each value must already be
-        in the domain's normal form and nonzero, each row in range, and no
-        dict may change afterwards.  An empty column is left out."""
+        """Matrix packed from (col, {row: value}) pairs as they come, with
+        no normalization pass: the cols must increase, and each value must
+        be in the domain's normal form and nonzero and each row in range,
+        so a builder that yields one column at a time never holds them
+        all."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.domain = rows, cols, domain
-        m._c = {j: col for j, col in columns if col}
+        m._pack(columns)
+        return m
+
+    @classmethod
+    def from_columns(cls, rows, cols, domain, columns):
+        """Matrix from (col, {row: raw value}) pairs in any order (a later
+        pair for a col wins), normalized as in Mat(); for builders whose
+        rows are in range by construction (not checked: see
+        rows_in_range)."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.domain = rows, cols, domain
+        by_col = dict(columns)
+        order = sorted(by_col)
+        m._pack(m._normalized(zip(order, map(by_col.__getitem__, order))))
         return m
 
     @classmethod
@@ -312,34 +367,69 @@ class Mat:
 
     def items(self):
         """The nonzero entries as ((row, col), value), column by column."""
-        return (((i, j), v) for j, col in self._c.items()
-                for i, v in col.items())
+        start, row, val = self._start, self._row, self._val
+        t = 0
+        for j, b in enumerate(islice(start, 1, None)):
+            while t < b:
+                yield (row[t], j), val[t]
+                t += 1
 
     def rows_in_range(self):
         """Whether every stored row index lies in 0..rows-1."""
-        c = self._c.values()
-        return not c or (0 <= min(map(min, c))
-                         and max(map(max, c)) < self.rows)
+        row = self._row
+        return not row or (0 <= min(row) and max(row) < self.rows)
+
+    def columns(self):
+        """The stored columns as new dicts, {col: {row: nonzero value}}."""
+        start, row, val = self._start, self._row, self._val
+        return {j: dict(zip(row[a:b], val[a:b]))
+                for j, a, b in zip(count(), start, islice(start, 1, None))
+                if a != b}
 
     def column(self, j):
-        """Column j as {row: nonzero value}, the stored dict: read only."""
-        return self._c.get(j, {})
+        """Column j as a new dict {row: nonzero value}."""
+        if 0 <= j < self.cols and (a := self._start[j]) != (
+                b := self._start[j + 1]):
+            return dict(zip(self._row[a:b], self._val[a:b]))
+        return {}
 
     def entry(self, i, j):
-        return self._c.get(j, {}).get(i, 0)
+        if not 0 <= j < self.cols:
+            return 0
+        try:
+            return self._val[self._row.index(i, self._start[j],
+                                             self._start[j + 1])]
+        except ValueError:
+            return 0
 
     def nnz(self):
-        return sum(map(len, self._c.values()))
+        return len(self._val)
 
     def is_zero(self):
-        return not self._c
+        return not self._val
 
     def transpose(self):
         return Mat(self.cols, self.rows, self.domain,
                    {(j, i): v for (i, j), v in self.items()})
 
     def change_domain(self, domain):
-        return Mat.from_columns(self.rows, self.cols, domain, self._c.items())
+        return self._with_values(domain, self._val)
+
+    def _with_values(self, domain, values):
+        """Matrix over domain with self's positions and the given values, in
+        store order, each normalized once; one that normalizes to zero is
+        dropped.  With none dropped it shares self's index arrays, which no
+        Mat modifies."""
+        m = Mat.__new__(Mat)
+        m.rows, m.cols, m.domain = self.rows, self.cols, domain
+        val = list(map(domain.normalize, values))
+        start, row = self._start, self._row
+        if all(val):
+            m._start, m._row, m._val = start, row, val
+        else:
+            m._pack((j, {i: v for i, v in zip(row[a:b], val[a:b]) if v})
+                    for j, a, b in zip(count(), start, islice(start, 1, None)))
+        return m
 
     def add(self, other):
         self._check_compatible(other)
@@ -350,46 +440,58 @@ class Mat:
 
     def scale(self, c):
         c = self.domain.normalize(c)
-        return Mat.from_columns(self.rows, self.cols, self.domain, (
-            (j, {i: v * c for i, v in col.items()})
-            for j, col in self._c.items()))
+        return self._with_values(self.domain, [v * c for v in self._val])
 
     def _product_columns(self, other):
         """(j, column j of self * other as {row: raw sum}) for each stored
         column j of other, one at a time."""
         if self.cols != other.rows or self.domain != other.domain:
             raise ValueError("incompatible shapes/domains for product")
-        left = self._c
-
-        def columns():
-            for j, bcol in other._c.items():
+        lstart, lrow, lval = self._start, self._row, self._val
+        start, row, val = other._start, other._row, other._val
+        for j, a, b in zip(count(), start, islice(start, 1, None)):
+            if a != b:
                 acc = {}
                 get = acc.get
-                for k, w in bcol.items():
-                    col = left.get(k)
-                    if col:
-                        for i, v in col.items():
-                            acc[i] = get(i, 0) + v * w
+                for k, w in zip(row[a:b], val[a:b]):
+                    c, d = lstart[k], lstart[k + 1]
+                    for i, v in zip(lrow[c:d], lval[c:d]):
+                        acc[i] = get(i, 0) + v * w
                 yield j, acc
-        return columns()
 
     def mul(self, other):
         """self * other, column j being sum_k other[k, j] * self[:, k]."""
-        return Mat.from_columns(self.rows, other.cols, self.domain,
-                                self._product_columns(other))
+        return Mat._adopt(self.rows, other.cols, self.domain,
+                          self._normalized(self._product_columns(other)))
 
     def mul_is_zero(self, other):
         """Whether self * other is zero, decided one column at a time with
         no product stored: in characteristic 0 an exact sum is zero iff it
-        is falsy, and over F_p each sum is reduced first."""
+        is falsy, and over F_p each sum is reduced first.  Over F_2 every
+        stored value is 1, so an entry is the parity of its number of
+        terms, and the rows are counted in C."""
         p = self.domain.characteristic
-        for _, acc in self._product_columns(other):
-            if any(map(p.__rmod__, acc.values()) if p else acc.values()):
+        if p != 2:
+            return not any(
+                any(map(p.__rmod__, acc.values()) if p else acc.values())
+                for _, acc in self._product_columns(other))
+        if self.cols != other.rows or self.domain != other.domain:
+            raise ValueError("incompatible shapes/domains for product")
+        lstart, lrow = self._start, self._row
+        start, row = other._start, other._row
+        for a, b in zip(start, islice(start, 1, None)):
+            terms = {}
+            for k in row[a:b]:
+                _count_elements(terms, lrow[lstart[k]:lstart[k + 1]])
+            if any(map((1).__and__, terms.values())):
                 return False
         return True
 
     def apply(self, vec):
-        """Matrix-vector product; vec is a sequence of length self.cols."""
+        """Matrix-vector product; vec is a sequence of length self.cols
+        (ValueError otherwise)."""
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
         dom = self.domain
         vec = [dom.normalize(x) for x in vec]
         out = [0] * self.rows
@@ -404,10 +506,16 @@ class Mat:
             raise ValueError("domain mismatch")
 
     def __eq__(self, other):
+        # a column keeps its rows in the order they were packed, so columns
+        # that differ only in that order are compared as dicts; equal
+        # matrices have the same column sizes, so both stores are lists or
+        # both arrays
         return (isinstance(other, Mat)
                 and (self.rows, self.cols) == (other.rows, other.cols)
                 and self.domain == other.domain
-                and self._c == other._c)
+                and self._start == other._start
+                and (self._row == other._row and self._val == other._val
+                     or self.columns() == other.columns()))
 
     def __hash__(self):
         return hash((self.rows, self.cols, frozenset(self.items())))
@@ -415,6 +523,17 @@ class Mat:
     def __repr__(self):
         return "Mat(%dx%d over %r, %d nonzero)" % (
             self.rows, self.cols, self.domain, self.nnz())
+
+
+# the most entries a matrix keeps in lists: past it, rows and column starts
+# are arrays of 4 bytes each instead of lists of 8-byte pointers to ints
+_CHUNK = 4096
+
+
+def _indices(bound):
+    """An empty array for ints in 0..bound-1, of 4 bytes each when they
+    fit, else 8."""
+    return array("i" if bound <= 2 ** 31 else "q")
 
 
 def _require_field(m):
@@ -562,42 +681,55 @@ def _update_unit(prow, pj, trow):
     return _axpy(trow, trow[pj] * prow[pj], prow)  # pivot is +-1
 
 
-def _stored_columns(m, skip):
-    """m's stored columns, the eliminated vectors, as {index: column},
-    without the indices in skip."""
-    rows = dict(m._c)
-    for j in skip:
-        rows.pop(j, None)
-    return rows
+def _peel(m, skip, units):
+    """Take, in one sweep, the stored columns of m that alone hold a
+    position, reading m's store directly.
 
-
-def _peel(live, units):
-    """Take, in one sweep, the vectors of `live` that alone hold a position.
-
-    Vectors are visited once, in index order.  A vector is taken at the
-    least position that no other live vector holds and where its entry is
-    eligible (+-1 when `units`, else any nonzero); it leaves `live` and
-    lowers the count of each position it holds, so a later vector may
-    find a position freed.  No vector is updated and no row dict is
-    modified.  Returns the positions taken, in order: each taken vector is
-    zero at the positions taken before it, and so is every vector left.
+    The columns with an index in skip are left out.  The others are visited
+    once, in index order.  A column is taken at the least position that no
+    other live column holds and where its entry is eligible (+-1 when
+    `units`, else any nonzero); it leaves the live set and lowers the count
+    of each position it holds, so a later column may find a position
+    freed.  No vector is updated.  Returns the positions taken, in order,
+    and {index: column dict} of the columns left, the only ones made into
+    dicts: each taken column is zero at the positions taken before it, and
+    so is every column left.
     """
-    count = {}
-    _count_elements(count, chain.from_iterable(live.values()))
-    taken = []
-    for i in sorted(live):
-        row = live[i]
+    start, row, val = m._start, m._row, m._val
+    skip = set(skip)
+    # the holders of each position, in a list: a dict costs several times
+    # its memory; the skipped columns are counted, then taken off
+    held = [0] * m.rows
+    for i in row:
+        held[i] += 1
+    for j in skip:
+        if 0 <= j < m.cols:
+            for i in row[start[j]:start[j + 1]]:
+                held[i] -= 1
+    taken, left = [], {}
+    for j, a, b in zip(count(), start, islice(start, 1, None)):
+        if a == b or j in skip:
+            continue
+        rows = row[a:b]
         least = None
-        for j, v in row.items():
-            if count[j] == 1 and (least is None or j < least) and (
-                    not units or v == 1 or v == -1):
-                least = j
-        if least is not None:
+        for i in rows:
+            if held[i] == 1 and (least is None or i < least):
+                least = i
+        if units and least is not None and val[a + rows.index(least)] not in (
+                1, -1):
+            # the least private entry is no unit: look past it
+            least = None
+            for i, v in zip(rows, val[a:b]):
+                if held[i] == 1 and (least is None or i < least) and (
+                        v == 1 or v == -1):
+                    least = i
+        if least is None:
+            left[j] = dict(zip(rows, val[a:b]))
+        else:
             taken.append(least)
-            for j in row:
-                count[j] -= 1
-            del live[i]
-    return taken
+            for i in rows:
+                held[i] -= 1
+    return taken, left
 
 
 def rank(m, skip=(), pivots=None):
@@ -610,8 +742,7 @@ def rank(m, skip=(), pivots=None):
     """
     _require_field(m)
     # the stored columns are the eliminated vectors (rank = rank of m^T)
-    rows = _stored_columns(m, skip)
-    taken = _peel(rows, False)
+    taken, rows = _peel(m, skip, False)
     if isinstance(m.domain, GF):
         taken += _eliminate(rows, _choose_short_column,
                             _update_mod(m.domain.p))[0]
@@ -885,8 +1016,7 @@ def smith_normal_form(m, skip=(), pivots=None):
     # what is left has no unit entry and goes to the dense core
     # the stored columns are the eliminated vectors: the invariant factors
     # of m and m^T agree
-    rows = _stored_columns(m, skip)
-    ones = _peel(rows, True)
+    ones, rows = _peel(m, skip, True)
     more, residual = _eliminate(rows, _choose_unit, _update_unit)
     ones += more
     if pivots is not None:

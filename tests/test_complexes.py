@@ -764,21 +764,26 @@ def test_generator_top_is_an_option():
 
 
 def _assert_normal_form(d):
-    """Every stored column of d is nonempty, every value is in its domain's
-    normal form and not zero, and d equals its rebuild by from_columns;
-    returns the types of the values."""
+    """d's store has one start per column and a last one at its end, and
+    no column holds a row twice; every value is in its domain's normal
+    form and not zero, and d equals its rebuild by from_columns; returns
+    the types of the values."""
     dom, types = d.domain, set()
-    for col in d._c.values():
-        assert col
-        for v in col.values():
-            # Mat == takes Fraction(2, 1) for 2: check the type
-            types.add(type(v))
-            if type(v) is Fraction:
-                assert dom == QQ and v.denominator != 1
-            else:
-                assert type(v) is int
-            assert 0 < v < dom.p if dom.characteristic else v
-    assert d == Mat.from_columns(d.rows, d.cols, dom, d._c.items())
+    start, row = d._start, d._row
+    assert len(start) == d.cols + 1 and start[0] == 0
+    assert start[-1] == len(row) == len(d._val)
+    for a, b in zip(start, start[1:]):
+        assert a <= b and len(set(row[a:b])) == b - a
+    for v in d._val:
+        # Mat == takes Fraction(2, 1) for 2: check the type
+        types.add(type(v))
+        if type(v) is Fraction:
+            assert dom == QQ and v.denominator != 1
+        else:
+            assert type(v) is int
+        assert 0 < v < dom.p if dom.characteristic else v
+    assert d == Mat.from_columns(d.rows, d.cols, dom,
+                                 enumerate(map(d.column, range(d.cols))))
     return types
 
 

@@ -263,23 +263,29 @@ class Mat:
         self.domain = domain
         by_col = {}
         if entries:
+            norm = domain.normalize
             for (i, j), v in entries.items():
-                if v:  # a falsy raw value is zero in every domain
-                    by_col.setdefault(j, {})[i] = v
-        self._pack(self._normalized(sorted(by_col.items())))
+                # a falsy raw value is zero in every domain
+                if v and (w := norm(v)):
+                    by_col.setdefault(j, {})[i] = w
+        self._pack(sorted(by_col.items()))
         if not self.rows_in_range():
             raise IndexError("entry outside a %dx%d matrix" % (rows, cols))
 
     def _normalized(self, columns):
-        """Normalize (col, {row: raw value}) pairs into new columns, one
-        pair at a time, so a generator holds one raw column."""
+        """{col: {row: value}} from (col, {row: raw value}) pairs, each
+        value normalized once and no column empty; a later pair for a col
+        wins."""
         norm = self.domain.normalize
+        out = {}
         for j, raw in columns:
             col = {}
             for i, v in raw.items():
                 if (w := norm(v)):
                     col[i] = w
-            yield j, col
+            if col:
+                out[j] = col
+        return out
 
     def _pack(self, columns):
         """Fill the store from (col, {row: value}) pairs in increasing col
@@ -288,27 +294,25 @@ class Mat:
         in lists, which are the store of a matrix of at most _CHUNK
         entries; a larger one moves them into arrays a chunk at a time."""
         rows, cols = self.rows, self.cols
-        start = row = None
+        start = None
         val, ends, buf = [], [0], []
-        n = done = 0  # the next col, the entries moved into arrays
+        n = 0  # the next col
         try:
             for j, col in columns:
-                if not col:
-                    continue
                 if j != n:
                     if not n < j < cols:
                         raise IndexError
                     ends += repeat(len(val), j - n)
                 buf += col
                 val += col.values()
-                ends.append(e := len(val))
+                ends.append(len(val))
                 n = j + 1
-                if e - done > _CHUNK:
+                if len(buf) > _CHUNK:
                     if start is None:
                         start, row = _indices(rows * cols), _indices(rows)
                     row.fromlist(buf)
                     start.fromlist(ends)
-                    buf, ends, done = [], [], e
+                    buf, ends = [], []
             if n != cols:
                 if n > cols:
                     raise IndexError
@@ -343,9 +347,7 @@ class Mat:
         rows_in_range)."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.domain = rows, cols, domain
-        by_col = dict(columns)
-        order = sorted(by_col)
-        m._pack(m._normalized(zip(order, map(by_col.__getitem__, order))))
+        m._pack(sorted(m._normalized(columns).items()))
         return m
 
     @classmethod
@@ -442,27 +444,32 @@ class Mat:
         c = self.domain.normalize(c)
         return self._with_values(self.domain, [v * c for v in self._val])
 
-    def _product_columns(self, other):
-        """(j, column j of self * other as {row: raw sum}) for each stored
-        column j of other, one at a time."""
+    def _check_product(self, other):
         if self.cols != other.rows or self.domain != other.domain:
             raise ValueError("incompatible shapes/domains for product")
+
+    def _product_columns(self, other):
+        """(j, column j of self * other as {row: raw sum}) for each stored
+        column j of other, one at a time, read from the stores by index
+        (cheaper than slicing the short columns of most products)."""
+        self._check_product(other)
         lstart, lrow, lval = self._start, self._row, self._val
         start, row, val = other._start, other._row, other._val
         for j, a, b in zip(count(), start, islice(start, 1, None)):
             if a != b:
                 acc = {}
                 get = acc.get
-                for k, w in zip(row[a:b], val[a:b]):
-                    c, d = lstart[k], lstart[k + 1]
-                    for i, v in zip(lrow[c:d], lval[c:d]):
-                        acc[i] = get(i, 0) + v * w
+                for t in range(a, b):
+                    k, w = row[t], val[t]
+                    for s in range(lstart[k], lstart[k + 1]):
+                        i = lrow[s]
+                        acc[i] = get(i, 0) + lval[s] * w
                 yield j, acc
 
     def mul(self, other):
         """self * other, column j being sum_k other[k, j] * self[:, k]."""
-        return Mat._adopt(self.rows, other.cols, self.domain,
-                          self._normalized(self._product_columns(other)))
+        return Mat._adopt(self.rows, other.cols, self.domain, self._normalized(
+            self._product_columns(other)).items())
 
     def mul_is_zero(self, other):
         """Whether self * other is zero, decided one column at a time with
@@ -475,8 +482,7 @@ class Mat:
             return not any(
                 any(map(p.__rmod__, acc.values()) if p else acc.values())
                 for _, acc in self._product_columns(other))
-        if self.cols != other.rows or self.domain != other.domain:
-            raise ValueError("incompatible shapes/domains for product")
+        self._check_product(other)
         lstart, lrow = self._start, self._row
         start, row = other._start, other._row
         for a, b in zip(start, islice(start, 1, None)):

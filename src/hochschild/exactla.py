@@ -102,7 +102,7 @@ from array import array
 from collections import _count_elements, namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import count, islice, repeat
+from itertools import count, islice
 from math import gcd, lcm
 
 
@@ -302,7 +302,7 @@ class Mat:
                 if j != n:
                     if not n < j < cols:
                         raise IndexError
-                    ends += repeat(len(val), j - n)
+                    ends += [len(val)] * (j - n)
                 buf += col
                 val += col.values()
                 ends.append(len(val))
@@ -316,7 +316,7 @@ class Mat:
             if n != cols:
                 if n > cols:
                     raise IndexError
-                ends += repeat(len(val), cols - n)
+                ends += [len(val)] * (cols - n)
             if start is None:
                 start, row = ends, buf
             else:
